@@ -7,6 +7,7 @@
 #include "common/checkpoint.hh"
 #include "common/error.hh"
 #include "common/faultinject.hh"
+#include "common/hash.hh"
 #include "common/logging.hh"
 
 namespace imo::coherence
@@ -18,31 +19,6 @@ namespace
 /** Delivery attempts per invalidation message before the network is
  *  declared broken (a structured error, never silent corruption). */
 constexpr std::uint32_t maxInvalDeliveryAttempts = 3;
-
-/** Order-sensitive FNV-1a, shared with isa::Program::fingerprint(). */
-struct Fnv
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-
-    void
-    mix(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xff;
-            h *= 0x100000001b3ull;
-        }
-    }
-
-    void
-    mix(const std::string &s)
-    {
-        mix(s.size());
-        for (const char c : s) {
-            h ^= static_cast<std::uint8_t>(c);
-            h *= 0x100000001b3ull;
-        }
-    }
-};
 
 } // namespace
 
@@ -124,19 +100,19 @@ CoherentMachine::registerStats(stats::StatGroup &parent)
 std::uint64_t
 CoherentMachine::fingerprintWorkload(const ParallelWorkload &workload)
 {
-    Fnv fnv;
-    fnv.mix(workload.name);
-    fnv.mix(workload.streams.size());
+    Fnv1a fnv;
+    fnv.str(workload.name);
+    fnv.u64(workload.streams.size());
     for (const auto &stream : workload.streams) {
-        fnv.mix(stream.size());
+        fnv.u64(stream.size());
         for (const TraceItem &item : stream) {
-            fnv.mix(static_cast<std::uint64_t>(item.kind));
-            fnv.mix(item.addr);
-            fnv.mix((item.write ? 1u : 0u) | (item.shared ? 2u : 0u));
-            fnv.mix(item.computeBefore);
+            fnv.u64(static_cast<std::uint64_t>(item.kind));
+            fnv.u64(item.addr);
+            fnv.u64((item.write ? 1u : 0u) | (item.shared ? 2u : 0u));
+            fnv.u64(item.computeBefore);
         }
     }
-    return fnv.h;
+    return fnv.value();
 }
 
 bool

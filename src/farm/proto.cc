@@ -7,6 +7,7 @@
 
 #include "common/checkpoint.hh"
 #include "common/error.hh"
+#include "common/hash.hh"
 
 namespace imo::farm
 {
@@ -264,21 +265,11 @@ authDigest(const std::string &token, std::uint64_t nonce)
     // FNV-1a over token || nonce || token: the token both prefixes and
     // suffixes the nonce so neither an empty token nor a truncated
     // token aliases another. Intentionally lightweight — see proto.hh.
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    const auto mix = [&h](const std::uint8_t *p, std::size_t n) {
-        for (std::size_t i = 0; i < n; ++i) {
-            h ^= p[i];
-            h *= 0x100000001b3ull;
-        }
-    };
-    const auto *tok =
-        reinterpret_cast<const std::uint8_t *>(token.data());
-    const std::uint64_t len = token.size();
-    mix(reinterpret_cast<const std::uint8_t *>(&len), 8);
-    mix(tok, token.size());
-    mix(reinterpret_cast<const std::uint8_t *>(&nonce), 8);
-    mix(tok, token.size());
-    return h;
+    Fnv1a h;
+    h.str(token);
+    h.u64(nonce);
+    h.bytes(token.data(), token.size());
+    return h.value();
 }
 
 std::vector<std::uint8_t>

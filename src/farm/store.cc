@@ -9,6 +9,7 @@
 
 #include "common/checkpoint.hh"
 #include "common/error.hh"
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "core/informing.hh"
 #include "workloads/suite.hh"
@@ -18,45 +19,6 @@ namespace imo::farm
 
 namespace
 {
-
-/** FNV-1a 64-bit over an incremental byte stream. */
-class Fnv64
-{
-  public:
-    void
-    bytes(const void *data, std::size_t len)
-    {
-        const auto *p = static_cast<const std::uint8_t *>(data);
-        for (std::size_t i = 0; i < len; ++i) {
-            _h ^= p[i];
-            _h *= 0x100000001b3ull;
-        }
-    }
-
-    void
-    str(const std::string &s)
-    {
-        const std::uint64_t n = s.size();
-        bytes(&n, 8); // length prefix: ("ab","c") != ("a","bc")
-        bytes(s.data(), s.size());
-    }
-
-    void u32(std::uint32_t v) { bytes(&v, 4); }
-    void u64(std::uint64_t v) { bytes(&v, 8); }
-
-    void
-    f64(double v)
-    {
-        std::uint64_t b;
-        std::memcpy(&b, &v, 8);
-        u64(b);
-    }
-
-    std::uint64_t value() const { return _h; }
-
-  private:
-    std::uint64_t _h = 0xcbf29ce484222325ull;
-};
 
 const char *const kRecordSuffix = ".imores";
 
@@ -76,7 +38,7 @@ namespace
 
 /** The point fields every key digests, in declaration order. */
 void
-mixPoint(Fnv64 &cfg, const sweep::SweepPoint &point)
+mixPoint(Fnv1a &cfg, const sweep::SweepPoint &point)
 {
     cfg.str(point.machine);
     cfg.str(point.workload);
@@ -101,7 +63,7 @@ keyForPoint(const sweep::SweepPoint &point)
 {
     PointKey key;
 
-    Fnv64 cfg;
+    Fnv1a cfg;
     mixPoint(cfg, point);
     key.configHash = cfg.value();
 
@@ -127,7 +89,7 @@ keyForGroup(const std::vector<sweep::SweepPoint> &members)
     sim_throw_if(members.empty(), ErrCode::BadConfig,
                  "result store: cannot key an empty point group");
     PointKey key;
-    Fnv64 cfg;
+    Fnv1a cfg;
     cfg.str("multicache-group"); // domain tag: never aliases a point
     cfg.u64(members.size());
     for (const sweep::SweepPoint &p : members)
@@ -156,7 +118,7 @@ keyForWindow(const sweep::SweepPoint &point, std::uint64_t libraryHash,
              std::uint64_t windowIndex)
 {
     PointKey key;
-    Fnv64 cfg;
+    Fnv1a cfg;
     cfg.str("window"); // domain tag: never aliases a whole-point key
     mixPoint(cfg, point);
     cfg.u64(windowIndex);

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <set>
 
+#include "common/hash.hh"
+
 namespace imo::isa
 {
 
@@ -172,59 +174,29 @@ Program::validate(std::string *why) const
     return true;
 }
 
-namespace
-{
-
-// FNV-1a, folded over every field that affects execution.
-struct Fnv
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-
-    void
-    mix(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xff;
-            h *= 0x100000001b3ull;
-        }
-    }
-
-    void
-    mix(const std::string &s)
-    {
-        mix(s.size());
-        for (const char c : s) {
-            h ^= static_cast<std::uint8_t>(c);
-            h *= 0x100000001b3ull;
-        }
-    }
-};
-
-} // anonymous namespace
-
 std::uint64_t
 Program::fingerprint() const
 {
-    Fnv f;
-    f.mix(_name);
-    f.mix(_insts.size());
+    Fnv1a f;
+    f.str(_name);
+    f.u64(_insts.size());
     for (const Instruction &in : _insts) {
-        f.mix(static_cast<std::uint64_t>(in.op));
-        f.mix((static_cast<std::uint64_t>(in.rd) << 16) |
+        f.u64(static_cast<std::uint64_t>(in.op));
+        f.u64((static_cast<std::uint64_t>(in.rd) << 16) |
               (static_cast<std::uint64_t>(in.rs1) << 8) | in.rs2);
-        f.mix(static_cast<std::uint64_t>(in.imm));
-        f.mix(in.informing ? 1 : 0);
-        f.mix(in.staticRefId);
+        f.u64(static_cast<std::uint64_t>(in.imm));
+        f.u64(in.informing ? 1 : 0);
+        f.u64(in.staticRefId);
     }
-    f.mix(_data.size());
+    f.u64(_data.size());
     for (const DataSegment &seg : _data) {
-        f.mix(seg.base);
-        f.mix(seg.words.size());
+        f.u64(seg.base);
+        f.u64(seg.words.size());
         for (const std::uint64_t w : seg.words)
-            f.mix(w);
+            f.u64(w);
     }
-    f.mix(_numStaticRefs);
-    return f.h;
+    f.u64(_numStaticRefs);
+    return f.value();
 }
 
 } // namespace imo::isa

@@ -6,54 +6,23 @@ namespace imo::sample
 {
 
 std::uint64_t
-fnv1a64(const void *data, std::size_t len, std::uint64_t seed)
-{
-    std::uint64_t h = seed;
-    const auto *p = static_cast<const std::uint8_t *>(data);
-    for (std::size_t i = 0; i < len; ++i) {
-        h ^= p[i];
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-namespace
-{
-
-/** Order-sensitive field mixer over fnv1a64. */
-struct Digest
-{
-    std::uint64_t h = 14695981039346656037ull;
-
-    void
-    mix(std::uint64_t v)
-    {
-        std::uint8_t bytes[8];
-        std::memcpy(bytes, &v, 8);
-        h = fnv1a64(bytes, 8, h);
-    }
-};
-
-} // anonymous namespace
-
-std::uint64_t
 captureDigest(const pipeline::MachineConfig &config)
 {
-    Digest d;
+    Fnv1a d;
     // Functional cache geometry: decides every reference's outcome and
     // therefore the executor image and the exact window boundaries.
-    d.mix(config.l1.sizeBytes);
-    d.mix(config.l1.lineBytes);
-    d.mix(config.l1.assoc);
-    d.mix(config.l2.sizeBytes);
-    d.mix(config.l2.lineBytes);
-    d.mix(config.l2.assoc);
+    d.u64(config.l1.sizeBytes);
+    d.u64(config.l1.lineBytes);
+    d.u64(config.l1.assoc);
+    d.u64(config.l2.sizeBytes);
+    d.u64(config.l2.lineBytes);
+    d.u64(config.l2.assoc);
     // Warm-table shapes: the predictor tables are the warm images.
-    d.mix(config.predictorEntries);
-    d.mix(config.useGshare ? 1 : 0);
+    d.u64(config.predictorEntries);
+    d.u64(config.useGshare ? 1 : 0);
     // The runaway guard is part of the executor configuration.
-    d.mix(config.maxInstructions);
-    return d.h;
+    d.u64(config.maxInstructions);
+    return d.value();
 }
 
 std::vector<std::uint8_t>

@@ -48,6 +48,7 @@
 
 #include "common/checkpoint.hh"
 #include "common/error.hh"
+#include "common/hash.hh"
 #include "func/executor.hh"
 #include "func/trace.hh"
 #include "isa/op.hh"
@@ -61,10 +62,7 @@ namespace imo::sample
 /** Bumped whenever the library layout changes incompatibly. */
 constexpr std::uint32_t livePointFormatVersion = 1;
 
-/** Order-sensitive FNV-1a over @p len bytes (same construction as
- *  isa::Program::fingerprint()). */
-std::uint64_t fnv1a64(const void *data, std::size_t len,
-                      std::uint64_t seed = 14695981039346656037ull);
+using ::imo::fnv1a64;
 
 /**
  * Digest of the configuration fields that determine what a capture
