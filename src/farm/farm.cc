@@ -18,14 +18,12 @@
 #include "common/logging.hh"
 #include "common/manifest.hh"
 #include "common/rng.hh"
-#include "core/informing.hh"
 #include "farm/proto.hh"
 #include "farm/store.hh"
 #include "farm/telemetry.hh"
 #include "farm/transport.hh"
 #include "farm/worker.hh"
 #include "sweep/engine.hh"
-#include "workloads/suite.hh"
 
 namespace imo::farm
 {
@@ -1264,19 +1262,15 @@ runFarmWindows(const sweep::SweepPoint &point,
         samples.push_back(sample::decodeWindowSample(
             std::string(s.fragment.begin(), s.fragment.end())));
 
-    workloads::WorkloadParams wp;
-    wp.scale = point.scale;
-    wp.seed = point.seed;
-    const isa::Program prog =
-        core::instrument(workloads::build(point.workload, wp),
-                         point.mode, {.length = point.handlerLen});
-    sample::Sampler sampler(prog, point.resolveConfig(),
+    sample::Sampler sampler(sweep::buildProgram(point),
+                            point.resolveConfig(),
                             sample::SampleParams::parse(point.sample));
     sampler.setLibrary(library);
 
     sweep::SweepOutcome outcome;
     outcome.point = point;
-    outcome.estimate = sampler.runFromWindowSamples(samples);
+    outcome.estimate =
+        sampler.runFromWindowSamples(library->totals, samples);
 
     std::ostringstream fragment;
     sweep::writePointJson(fragment, outcome);

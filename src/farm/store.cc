@@ -11,8 +11,6 @@
 #include "common/error.hh"
 #include "common/hash.hh"
 #include "common/logging.hh"
-#include "core/informing.hh"
-#include "workloads/suite.hh"
 
 namespace imo::farm
 {
@@ -71,13 +69,7 @@ keyForPoint(const sweep::SweepPoint &point)
     // generator, the instrumenter, or the handler library changes the
     // address and invalidates cached results for exactly the affected
     // points.
-    workloads::WorkloadParams wp;
-    wp.scale = point.scale;
-    wp.seed = point.seed;
-    const isa::Program base = workloads::build(point.workload, wp);
-    const isa::Program prog =
-        core::instrument(base, point.mode, {.length = point.handlerLen});
-    key.programHash = prog.fingerprint();
+    key.programHash = sweep::buildProgram(point).fingerprint();
 
     key.schemaVersion = sweep::reportSchemaVersion;
     return key;
@@ -99,15 +91,7 @@ keyForGroup(const std::vector<sweep::SweepPoint> &members)
     // Members agree on workload/mode/handlerLen/scale/seed (the
     // multi-cache grouping key), so the shared program fingerprints
     // once for the whole group.
-    workloads::WorkloadParams wp;
-    wp.scale = members.front().scale;
-    wp.seed = members.front().seed;
-    const isa::Program base =
-        workloads::build(members.front().workload, wp);
-    const isa::Program prog =
-        core::instrument(base, members.front().mode,
-                         {.length = members.front().handlerLen});
-    key.programHash = prog.fingerprint();
+    key.programHash = sweep::buildProgram(members.front()).fingerprint();
 
     key.schemaVersion = sweep::reportSchemaVersion;
     return key;

@@ -174,26 +174,36 @@ std::vector<std::uint8_t> makeExecImage(const func::Executor &exec);
 void restoreExecImage(const std::vector<std::uint8_t> &image,
                       func::Executor &exec);
 
-/** Step the timing model up to @p n records; @return how many. */
+/**
+ * Streams fast-forwarded conditional-branch outcomes into a machine's
+ * predictor: the functional-warming hook every sampling path passes to
+ * func::Executor::fastForward().
+ */
 template <typename Cpu>
-std::uint64_t
-stepWindow(Cpu &cpu, func::TraceSource &src, std::uint64_t n)
+class PredictorWarmer final : public func::WarmSink
 {
-    std::uint64_t done = 0;
-    while (done < n && cpu.step(src))
-        ++done;
-    return done;
-}
+  public:
+    explicit PredictorWarmer(Cpu &cpu) : _cpu(cpu) {}
+
+    void
+    condBranch(InstAddr pc, bool taken) override
+    {
+        _cpu.warmCondBranch(pc, taken);
+    }
+
+  private:
+    Cpu &_cpu;
+};
 
 /**
- * Trace tee for the sequential (interleaved) sampler: forwards records
- * from the live executor to the window's timing model while training
- * the warm accumulator with every resolved conditional branch. Mirrors
- * exactly what the executor reports to a WarmSink during fastForward()
- * — the four predicted ops only; BRMISS-style branches are statically
- * predicted and carry no predictor state — so the accumulator reaches
- * every window boundary in the same state whether the span in between
- * was fast-forwarded or replayed through a timing model.
+ * Trace tee that trains the warm accumulator with every resolved
+ * conditional branch it forwards. Mirrors exactly what the executor
+ * reports to a WarmSink during fastForward() — the four predicted ops
+ * only; BRMISS-style branches are statically predicted and carry no
+ * predictor state — so the accumulator reaches every window boundary
+ * in the same state whether the span in between was fast-forwarded or
+ * read record by record (the interleaved sampler's in-place windows,
+ * the shared pass's buffered window spans).
  */
 template <typename Cpu>
 class WarmingTraceSource final : public func::TraceSource
@@ -228,6 +238,45 @@ class WarmingTraceSource final : public func::TraceSource
 };
 
 /**
+ * The window kernel — the one place a detailed window executes, on
+ * every sampling path. A fresh timing model of @p config, seeded with
+ * @p warmImage, steps @p warmup records of @p src (discarded), then
+ * @p measure records whose cycle, miss and reference deltas form the
+ * sample. A pure function of its arguments and the records @p src
+ * yields; a short read (the program halted) shows up as warmed < W or
+ * measured < M.
+ */
+template <typename Cpu>
+WindowSample
+runWindow(const pipeline::MachineConfig &config,
+          const std::vector<std::uint8_t> &warmImage,
+          func::TraceSource &src, std::uint64_t warmup,
+          std::uint64_t measure)
+{
+    Cpu cpu(config);
+    cpu.reset();
+    restoreWarmImage(warmImage, cpu);
+    const auto step = [&](std::uint64_t n) {
+        std::uint64_t done = 0;
+        while (done < n && cpu.step(src))
+            ++done;
+        return done;
+    };
+
+    WindowSample ws;
+    ws.warmed = step(warmup);
+    if (ws.warmed < warmup)
+        return ws; // program halted during warmup
+    const pipeline::RunResult r0 = cpu.result();
+    ws.measured = step(measure);
+    const pipeline::RunResult r1 = cpu.result();
+    ws.cycles = r1.cycles - r0.cycles;
+    ws.misses = r1.l1Misses - r0.l1Misses;
+    ws.refs = r1.dataRefs - r0.dataRefs;
+    return ws;
+}
+
+/**
  * Runs detailed windows from live points, reusing one executor across
  * calls: constructing an executor is expensive (program copy, cache
  * and data-memory arrays) while restoreExecImage() overwrites every
@@ -256,47 +305,14 @@ class WindowRunner
         std::uint64_t measure)
     {
         restoreExecImage(point.execImage, _exec);
-        Cpu cpu(_config);
-        cpu.reset();
-        restoreWarmImage(point.warmImage, cpu);
-
-        WindowSample ws;
-        ws.warmed = stepWindow(cpu, _exec, warmup);
-        if (ws.warmed < warmup)
-            return ws; // program halted during warmup
-        const pipeline::RunResult r0 = cpu.result();
-        ws.measured = stepWindow(cpu, _exec, measure);
-        const pipeline::RunResult r1 = cpu.result();
-        ws.cycles = r1.cycles - r0.cycles;
-        ws.misses = r1.l1Misses - r0.l1Misses;
-        ws.refs = r1.dataRefs - r0.dataRefs;
-        return ws;
+        return runWindow<Cpu>(_config, point.warmImage, _exec, warmup,
+                              measure);
     }
 
   private:
     const pipeline::MachineConfig &_config;
     func::Executor _exec;
 };
-
-/**
- * Run one detailed window from a live point: a fresh executor replays
- * the window's instruction stream from the saved boundary and a fresh
- * timing model, seeded with the warm state, steps W warmup then M
- * measured instructions. Pure function of its arguments — safe to call
- * concurrently from any thread (every simulator object is local).
- * Batch consumers should hold a WindowRunner instead and amortize the
- * executor construction.
- */
-template <typename Cpu>
-WindowSample
-runLivePointWindow(const isa::Program &program,
-                   const pipeline::MachineConfig &config,
-                   const LivePoint &point, std::uint64_t warmup,
-                   std::uint64_t measure)
-{
-    WindowRunner<Cpu> runner(program, config);
-    return runner.run(point, warmup, measure);
-}
 
 } // namespace imo::sample
 

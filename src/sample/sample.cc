@@ -118,28 +118,6 @@ SampleParams::preset(const std::string &name,
     return p;
 }
 
-namespace
-{
-
-/** Streams fast-forwarded branch outcomes into the CPU's predictor. */
-template <typename Cpu>
-class PredictorWarmer final : public func::WarmSink
-{
-  public:
-    explicit PredictorWarmer(Cpu &cpu) : _cpu(cpu) {}
-
-    void
-    condBranch(InstAddr pc, bool taken) override
-    {
-        _cpu.warmCondBranch(pc, taken);
-    }
-
-  private:
-    Cpu &_cpu;
-};
-
-} // anonymous namespace
-
 Sampler::Sampler(isa::Program program,
                  const pipeline::MachineConfig &config,
                  const SampleParams &params)
@@ -172,26 +150,41 @@ Sampler::foldWindow(const WindowSample &ws)
 }
 
 void
+Sampler::throwInterrupted() const
+{
+    // A cooperative stop between windows; run() surfaces it as a
+    // structured Interrupted estimate failure.
+    throwSimError(ErrCode::Interrupted,
+                  "interrupted after %llu sampled windows",
+                  static_cast<unsigned long long>(_cpi.count()));
+}
+
+void
 Sampler::foldWindowSamples(const std::vector<WindowSample> &samples,
                            const std::vector<std::uint8_t> *completed)
 {
     for (std::size_t i = 0; i < samples.size(); ++i) {
-        if (completed && !(*completed)[i]) [[unlikely]] {
-            // A cooperative stop left this and later windows unrun;
-            // run() surfaces it as a structured Interrupted failure.
-            throwSimError(ErrCode::Interrupted,
-                          "interrupted after %llu sampled windows",
-                          static_cast<unsigned long long>(_cpi.count()));
-        }
+        if (completed && !(*completed)[i]) [[unlikely]]
+            throwInterrupted(); // this and later windows never ran
         if (!foldWindow(samples[i]))
             break;
     }
 }
 
-template <typename Cpu>
 void
-Sampler::runWindows(const std::vector<LivePoint> &points,
-                    const pipeline::SimulateOptions &opt)
+Sampler::setTotals(const CaptureTotals &totals)
+{
+    _est.instructions = totals.instructions;
+    _est.dataRefs = totals.dataRefs;
+    _est.l1Misses = totals.l1Misses;
+    _est.traps = totals.traps;
+}
+
+template <typename Cpu>
+std::vector<WindowSample>
+Sampler::replayWindows(const std::vector<LivePoint> &points,
+                       const pipeline::SimulateOptions &opt,
+                       std::vector<std::uint8_t> &completed)
 {
     // One WindowRunner per worker: every restore overwrites the whole
     // executor, so samples stay pure functions of their live points
@@ -208,34 +201,12 @@ Sampler::runWindows(const std::vector<LivePoint> &points,
         });
     }
     // runOrderedWith writes each window's sample into its input slot,
-    // so the fold below sees them in window order no matter how the
-    // pool scheduled them — that, plus every window being a pure
-    // function of its live point, is the whole byte-identity argument.
-    std::vector<std::uint8_t> completed;
-    const std::vector<WindowSample> samples =
-        sweep::runOrderedWith<WindowSample, WindowRunner<Cpu>>(
-            make_runner, tasks, std::max(1u, _jobs), opt.stopFlag,
-            &completed);
-    foldWindowSamples(samples, &completed);
-}
-
-template <typename Cpu>
-void
-Sampler::runPassFromLibrary(const char *kind,
-                            const pipeline::SimulateOptions &opt)
-{
-    validateLibrary(kind);
-    const LivePointLibrary &lib = *_library;
-
-    // The capture pass ran the whole program once; its exact totals
-    // travel in the library header, which is what lets a library
-    // consumer skip the functional pass entirely.
-    _est.instructions = lib.totals.instructions;
-    _est.dataRefs = lib.totals.dataRefs;
-    _est.l1Misses = lib.totals.l1Misses;
-    _est.traps = lib.totals.traps;
-
-    runWindows<Cpu>(lib.points, opt);
+    // so the fold sees them in window order no matter how the pool
+    // scheduled them — that, plus every window being a pure function
+    // of its live point, is the whole byte-identity argument.
+    return sweep::runOrderedWith<WindowSample, WindowRunner<Cpu>>(
+        make_runner, tasks, std::max(1u, _jobs), opt.stopFlag,
+        &completed);
 }
 
 template <typename Cpu>
@@ -243,8 +214,16 @@ void
 Sampler::runPass(const char *kind, std::uint32_t pass,
                  const pipeline::SimulateOptions &opt)
 {
+    std::vector<WindowSample> samples;
+    std::vector<std::uint8_t> completed;
     if (_library) {
-        runPassFromLibrary<Cpu>(kind, opt);
+        validateLibrary(kind);
+        // The capture pass ran the whole program once; its exact
+        // totals travel in the library header, which is what lets a
+        // library consumer skip the functional pass entirely.
+        setTotals(_library->totals);
+        samples = replayWindows<Cpu>(_library->points, opt, completed);
+        foldWindowSamples(samples, &completed);
         return;
     }
 
@@ -286,14 +265,8 @@ Sampler::runPass(const char *kind, std::uint32_t pass,
     std::uint64_t gap =
         U + U * pass / std::max<std::uint32_t>(_params.maxPasses, 1);
 
-    auto check_stop = [&] {
-        if (opt.stopFlag && *opt.stopFlag) [[unlikely]] {
-            // Graceful stop between windows; run() surfaces it as a
-            // structured Interrupted estimate failure.
-            throwSimError(ErrCode::Interrupted,
-                          "interrupted after %llu sampled windows",
-                          static_cast<unsigned long long>(_cpi.count()));
-        }
+    const auto stop_requested = [&] {
+        return opt.stopFlag && *opt.stopFlag;
     };
 
     const bool capture =
@@ -305,28 +278,22 @@ Sampler::runPass(const char *kind, std::uint32_t pass,
         // window span; no executor state is ever serialized.
         WarmingTraceSource<Cpu> tee(exec, accum);
         for (;;) {
-            check_stop();
+            if (stop_requested()) [[unlikely]] {
+                // Leave one unrun slot where the stop landed: the fold
+                // takes the windows that ran, then fails exactly as a
+                // stopped pool does.
+                completed.assign(samples.size(), 1);
+                completed.push_back(0);
+                samples.emplace_back();
+                break;
+            }
             if (exec.fastForward(gap, &warmer) < gap)
                 break; // program halted inside the gap
             gap = U;
-
-            const std::vector<std::uint8_t> warm = makeWarmImage(accum);
-            Cpu win(_config);
-            win.reset();
-            restoreWarmImage(warm, win);
-
-            WindowSample ws;
-            ws.warmed = stepWindow(win, tee, W);
-            if (ws.warmed == W) {
-                const pipeline::RunResult r0 = win.result();
-                ws.measured = stepWindow(win, tee, M);
-                const pipeline::RunResult r1 = win.result();
-                ws.cycles = r1.cycles - r0.cycles;
-                ws.misses = r1.l1Misses - r0.l1Misses;
-                ws.refs = r1.dataRefs - r0.dataRefs;
-            }
-            if (!foldWindow(ws))
-                break;
+            samples.push_back(
+                runWindow<Cpu>(_config, makeWarmImage(accum), tee, W, M));
+            if (samples.back().measured < M)
+                break; // program halted inside the window
         }
     } else {
         // Capture mode: the functional pass snapshots a live point at
@@ -342,7 +309,8 @@ Sampler::runPass(const char *kind, std::uint32_t pass,
         lib->warmup = W;
         lib->measure = M;
         for (;;) {
-            check_stop();
+            if (stop_requested()) [[unlikely]]
+                throwInterrupted();
             if (exec.fastForward(gap, &warmer) < gap)
                 break;
             gap = U;
@@ -359,17 +327,15 @@ Sampler::runPass(const char *kind, std::uint32_t pass,
                 writeLibraryFile(_captureOut, *lib);
             _captured = lib;
         }
-        runWindows<Cpu>(lib->points, opt);
+        samples = replayWindows<Cpu>(lib->points, opt, completed);
     }
+    foldWindowSamples(samples, completed.empty() ? nullptr : &completed);
 
     // The functional side executed the whole program regardless of how
     // the windows fell, so these totals are exact (and identical in
     // every pass — only the window placement differs).
     const func::ExecStats &es = exec.stats();
-    _est.instructions = es.instructions;
-    _est.dataRefs = es.dataRefs;
-    _est.l1Misses = es.l1Misses;
-    _est.traps = es.traps;
+    setTotals({es.instructions, es.dataRefs, es.l1Misses, es.traps});
 
     if (pass == 0 && !opt.checkpointOut.empty()) {
         // The accumulator is quiesced (it only ever received warming
@@ -490,16 +456,32 @@ Sampler::validateLibrary(const char *kind) const
                  _params.spec().c_str());
 }
 
+template <typename Body>
 SampleEstimate
-Sampler::run(const pipeline::SimulateOptions &options)
+Sampler::guarded(Body &&body)
 {
     resetAccumulators();
-
     try {
         _params.validate();
         _config.validate();
         isa::verifyProgram(_program);
+        body();
+        finishEstimate();
+        xcheckAgainstFull();
+    } catch (const SimException &e) {
+        _est.ok = false;
+        _est.error = e.error();
+    } catch (const std::exception &e) {
+        _est.ok = false;
+        _est.error = SimError{ErrCode::Internal, e.what(), {}};
+    }
+    return _est;
+}
 
+SampleEstimate
+Sampler::run(const pipeline::SimulateOptions &options)
+{
+    return guarded([&] {
         if (_library) {
             sim_throw_if(_params.targetRelErr > 0.0, ErrCode::BadConfig,
                          "error-targeted extension re-runs the "
@@ -523,92 +505,26 @@ Sampler::run(const pipeline::SimulateOptions &options)
             runPasses<pipeline::OooCpu>("ooo", options);
         else
             runPasses<pipeline::InOrderCpu>("inorder", options);
-
-        finishEstimate();
-        xcheckAgainstFull();
-    } catch (const SimException &e) {
-        _est.ok = false;
-        _est.error = e.error();
-    } catch (const std::exception &e) {
-        _est.ok = false;
-        _est.error = SimError{ErrCode::Internal, e.what(), {}};
-    }
-    return _est;
+    });
 }
 
 SampleEstimate
-Sampler::runFromWindowSamples(const std::vector<WindowSample> &samples)
+Sampler::runFromWindowSamples(const CaptureTotals &totals,
+                              const std::vector<WindowSample> &samples)
 {
-    resetAccumulators();
-
-    try {
-        _params.validate();
-        _config.validate();
-        isa::verifyProgram(_program);
-        sim_throw_if(!_library, ErrCode::BadConfig,
-                     "runFromWindowSamples needs setLibrary(): the "
-                     "samples are meaningless without the library "
-                     "that produced them");
-        validateLibrary(_config.outOfOrder ? "ooo" : "inorder");
-        sim_throw_if(samples.size() != _library->points.size(),
-                     ErrCode::BadConfig,
-                     "%zu window samples for a %zu-window library",
-                     samples.size(), _library->points.size());
-
-        _est.instructions = _library->totals.instructions;
-        _est.dataRefs = _library->totals.dataRefs;
-        _est.l1Misses = _library->totals.l1Misses;
-        _est.traps = _library->totals.traps;
-        _est.passes = 1;
-
+    return guarded([&] {
+        if (_library) {
+            validateLibrary(_config.outOfOrder ? "ooo" : "inorder");
+            sim_throw_if(samples.size() != _library->points.size(),
+                         ErrCode::BadConfig,
+                         "%zu window samples for a %zu-window library",
+                         samples.size(), _library->points.size());
+        }
+        // The same fold, halt truncation and totals as one runPass().
         foldWindowSamples(samples, nullptr);
-        finishEstimate();
-        xcheckAgainstFull();
-    } catch (const SimException &e) {
-        _est.ok = false;
-        _est.error = e.error();
-    } catch (const std::exception &e) {
-        _est.ok = false;
-        _est.error = SimError{ErrCode::Internal, e.what(), {}};
-    }
-    return _est;
-}
-
-SampleEstimate
-Sampler::runFromSharedPass(const SharedPassTotals &totals,
-                           const std::vector<WindowSample> &samples)
-{
-    resetAccumulators();
-
-    try {
-        _params.validate();
-        _config.validate();
-        isa::verifyProgram(_program);
-
-        // Mirror the interleaved pass exactly: fold in window order,
-        // stop at the first truncated window (program halt), and set
-        // the exact totals only after the fold — the same ordering
-        // runPass() uses, so even degenerate runs match byte-for-byte.
-        for (const WindowSample &ws : samples)
-            if (!foldWindow(ws))
-                break;
-
-        _est.instructions = totals.instructions;
-        _est.dataRefs = totals.dataRefs;
-        _est.l1Misses = totals.l1Misses;
-        _est.traps = totals.traps;
+        setTotals(totals);
         _est.passes = 1;
-
-        finishEstimate();
-        xcheckAgainstFull();
-    } catch (const SimException &e) {
-        _est.ok = false;
-        _est.error = e.error();
-    } catch (const std::exception &e) {
-        _est.ok = false;
-        _est.error = SimError{ErrCode::Internal, e.what(), {}};
-    }
-    return _est;
+    });
 }
 
 void

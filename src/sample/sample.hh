@@ -114,19 +114,6 @@ struct SampleParams
                                const std::string &workload);
 };
 
-/** Exact functional totals of one configuration, as produced by a
- *  shared multi-configuration reference pass (sample/sharedpass.hh):
- *  instruction, reference and trap counts are geometry-invariant for
- *  an eligible program, while l1Misses is the per-config count the
- *  multicache engine classified. */
-struct SharedPassTotals
-{
-    std::uint64_t instructions = 0;
-    std::uint64_t dataRefs = 0;
-    std::uint64_t l1Misses = 0;
-    std::uint64_t traps = 0;
-};
-
 /** The sampled estimate: exact functional totals plus interval
  *  estimates of the timing-only quantities. */
 struct SampleEstimate
@@ -263,27 +250,21 @@ class Sampler
     SampleEstimate run(const pipeline::SimulateOptions &options = {});
 
     /**
-     * Fold externally produced window samples (a farm's shards) into
-     * an estimate, exactly as run() would have folded locally executed
-     * windows. Requires setLibrary(); @p samples must hold one entry
-     * per library point, in window order.
+     * Fold externally produced window samples into an estimate,
+     * exactly as run() folds the windows it executes: same order, same
+     * halt truncation, one pass. @p totals are the exact functional
+     * totals of the pass that laid the windows out. The producers are
+     * a farm's window shards (@p totals from the library header) and a
+     * shared multi-configuration pass (sample/sharedpass.hh); either
+     * way each window ran through runWindow() on a fresh machine of
+     * this configuration seeded with the warm image a dedicated pass
+     * would have built, so the estimate is byte-identical to run().
+     * With setLibrary(), the library must match this sampler and
+     * @p samples must hold one entry per library point.
      */
     SampleEstimate
-    runFromWindowSamples(const std::vector<WindowSample> &samples);
-
-    /**
-     * Fold the window samples a shared multi-configuration reference
-     * pass produced for this configuration, exactly as run() would
-     * have folded locally executed windows: same fold order, same
-     * halt-truncation handling, totals applied after the fold, one
-     * pass. The estimate is byte-identical to a dedicated run()
-     * because the shared pass replays each window on a fresh machine
-     * of this exact configuration, seeded with the same warm image the
-     * dedicated pass would have built.
-     */
-    SampleEstimate
-    runFromSharedPass(const SharedPassTotals &totals,
-                      const std::vector<WindowSample> &samples);
+    runFromWindowSamples(const CaptureTotals &totals,
+                         const std::vector<WindowSample> &samples);
 
     /** Estimate from the most recent run() (empty before). */
     const SampleEstimate &estimate() const { return _est; }
@@ -301,19 +282,28 @@ class Sampler
     void runPass(const char *kind, std::uint32_t pass,
                  const pipeline::SimulateOptions &options);
 
+    /** Run the windows of @p points on the pool, in slot order;
+     *  @p completed marks the slots a cooperative stop skipped. */
     template <typename Cpu>
-    void runPassFromLibrary(const char *kind,
-                            const pipeline::SimulateOptions &options);
+    std::vector<WindowSample>
+    replayWindows(const std::vector<LivePoint> &points,
+                  const pipeline::SimulateOptions &options,
+                  std::vector<std::uint8_t> &completed);
 
-    /** Run the windows of @p points (inline or pooled) and fold them. */
-    template <typename Cpu>
-    void runWindows(const std::vector<LivePoint> &points,
-                    const pipeline::SimulateOptions &options);
+    /** The error envelope of every public entry: reset, validate, run
+     *  @p body, finish the estimate, and turn any failure into
+     *  SampleEstimate::error. */
+    template <typename Body>
+    SampleEstimate guarded(Body &&body);
 
     /** Fold @p samples in window order; @p completed (when non-null)
      *  marks slots skipped by a cooperative stop. */
     void foldWindowSamples(const std::vector<WindowSample> &samples,
                            const std::vector<std::uint8_t> *completed);
+
+    void setTotals(const CaptureTotals &totals);
+
+    [[noreturn]] void throwInterrupted() const;
 
     /** Fold one window. @return false when the pass must stop (the
      *  program halted inside the window). */

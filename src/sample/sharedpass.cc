@@ -12,23 +12,6 @@ namespace imo::sample
 namespace
 {
 
-/** Forwards warming branch outcomes to the shared accumulator. */
-template <typename Cpu>
-class PredictorWarmer final : public func::WarmSink
-{
-  public:
-    explicit PredictorWarmer(Cpu &cpu) : _cpu(cpu) {}
-
-    void
-    condBranch(InstAddr pc, bool taken) override
-    {
-        _cpu.warmCondBranch(pc, taken);
-    }
-
-  private:
-    Cpu &_cpu;
-};
-
 /**
  * RefSink that drives the multi-config engine with the executor's raw
  * reference stream; the engine's own capture spans record each demand
@@ -150,6 +133,7 @@ runSharedPassImpl(const isa::Program &program,
 
     std::vector<func::TraceRecord> window;
     window.reserve(W + M);
+    WarmingTraceSource<Cpu> tee(exec, accum);
 
     // Mirror of Sampler::runPass interleaved mode, pass 0: the first
     // gap is U (pass-0 phase offset is zero), later gaps are U.
@@ -159,24 +143,13 @@ runSharedPassImpl(const isa::Program &program,
 
         const std::vector<std::uint8_t> warm = makeWarmImage(accum);
 
-        // Buffer the window span once, training the accumulator with
-        // every conditional branch exactly as the dedicated tee would.
+        // Buffer the window span once through the same tee the
+        // dedicated interleaved pass reads its windows from.
         window.clear();
         engine.beginCapture();
         func::TraceRecord rec;
-        while (window.size() < W + M && exec.next(rec)) {
-            switch (rec.inst.op) {
-              case isa::Op::BEQ:
-              case isa::Op::BNE:
-              case isa::Op::BLT:
-              case isa::Op::BGE:
-                accum.warmCondBranch(rec.pc, rec.taken);
-                break;
-              default:
-                break;
-            }
+        while (window.size() < W + M && tee.next(rec))
             window.push_back(rec);
-        }
         engine.endCapture();
         ++res.windows;
 
@@ -185,21 +158,8 @@ runSharedPassImpl(const isa::Program &program,
         for (std::size_t m = 0; m < members.size(); ++m) {
             PatchedWindowSource src(
                 window, engine.capturedLevels(classOf[m]));
-            Cpu win(members[m]);
-            win.reset();
-            restoreWarmImage(warm, win);
-
-            WindowSample ws;
-            ws.warmed = stepWindow(win, src, W);
-            if (ws.warmed == W) {
-                const pipeline::RunResult r0 = win.result();
-                ws.measured = stepWindow(win, src, M);
-                const pipeline::RunResult r1 = win.result();
-                ws.cycles = r1.cycles - r0.cycles;
-                ws.misses = r1.l1Misses - r0.l1Misses;
-                ws.refs = r1.dataRefs - r0.dataRefs;
-            }
-            res.samples[m].push_back(ws);
+            res.samples[m].push_back(
+                runWindow<Cpu>(members[m], warm, src, W, M));
         }
 
         if (window.size() < W + M)
@@ -211,7 +171,7 @@ runSharedPassImpl(const isa::Program &program,
 
     const func::ExecStats &es = exec.stats();
     for (std::size_t m = 0; m < members.size(); ++m) {
-        res.totals[m] = SharedPassTotals{
+        res.totals[m] = CaptureTotals{
             .instructions = es.instructions,
             .dataRefs = es.dataRefs,
             .l1Misses = engine.l1Misses(classOf[m]),

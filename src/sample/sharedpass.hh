@@ -29,8 +29,10 @@
  *    IMO_PARANOID_XCHECK-replayed), so the patched records equal the
  *    records the member's own executor would have produced.
  *
- * Sampler::runFromSharedPass() then folds the per-member samples into
- * estimates indistinguishable from Sampler::run().
+ * Each member window runs through the same runWindow() kernel as
+ * every other sampling path, and Sampler::runFromWindowSamples() folds
+ * the per-member samples into estimates indistinguishable from
+ * Sampler::run().
  */
 
 #ifndef IMO_SAMPLE_SHAREDPASS_HH
@@ -53,7 +55,7 @@ struct SharedPassResult
     /** samples[m] holds member m's windows in schedule order. */
     std::vector<std::vector<WindowSample>> samples;
     /** totals[m]: exact functional totals under member m's geometry. */
-    std::vector<SharedPassTotals> totals;
+    std::vector<CaptureTotals> totals;
     std::uint64_t configs = 0;      //!< distinct (L1, L2) classes served
     std::uint64_t streamLength = 0; //!< demand references classified
     std::uint64_t prefetches = 0;   //!< prefetches observed

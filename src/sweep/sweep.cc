@@ -97,6 +97,16 @@ expandGrid(const SweepGrid &grid)
     return points;
 }
 
+isa::Program
+buildProgram(const SweepPoint &point)
+{
+    workloads::WorkloadParams wp;
+    wp.scale = point.scale;
+    wp.seed = point.seed;
+    return core::instrument(workloads::build(point.workload, wp),
+                            point.mode, {.length = point.handlerLen});
+}
+
 SweepOutcome
 runPoint(const SweepPoint &point)
 {
@@ -112,12 +122,7 @@ runPoint(const SweepPoint &point,
     out.point = point;
 
     const pipeline::MachineConfig cfg = point.resolveConfig();
-    workloads::WorkloadParams wp;
-    wp.scale = point.scale;
-    wp.seed = point.seed;
-    const isa::Program base = workloads::build(point.workload, wp);
-    const isa::Program prog =
-        core::instrument(base, point.mode, {.length = point.handlerLen});
+    const isa::Program prog = buildProgram(point);
     if (point.sample.empty()) {
         out.result = pipeline::simulate(prog, cfg);
     } else {
@@ -164,16 +169,6 @@ multiCacheKey(const SweepPoint &p)
                      core::informingModeName(p.mode), p.handlerLen,
                      p.scale, static_cast<unsigned long long>(p.seed),
                      p.sample.c_str());
-}
-
-isa::Program
-buildProgram(const SweepPoint &p)
-{
-    workloads::WorkloadParams wp;
-    wp.scale = p.scale;
-    wp.seed = p.seed;
-    return core::instrument(workloads::build(p.workload, wp), p.mode,
-                            {.length = p.handlerLen});
 }
 
 } // anonymous namespace
@@ -256,7 +251,7 @@ runPointGroup(const std::vector<SweepPoint> &members,
     for (std::size_t m = 0; m < members.size(); ++m) {
         outs[m].point = members[m];
         sample::Sampler sampler(prog, cfgs[m], params);
-        outs[m].estimate = sampler.runFromSharedPass(
+        outs[m].estimate = sampler.runFromWindowSamples(
             shared.totals[m], shared.samples[m]);
     }
     if (prov) {
@@ -282,13 +277,8 @@ libraryMatchesPoint(const sample::LivePointLibrary &supplied,
         return false;
     if (supplied.digest != sample::captureDigest(point.resolveConfig()))
         return false;
-    workloads::WorkloadParams wp;
-    wp.scale = point.scale;
-    wp.seed = point.seed;
-    const isa::Program prog = core::instrument(
-        workloads::build(point.workload, wp), point.mode,
-        {.length = point.handlerLen});
-    return supplied.programFingerprint == prog.fingerprint();
+    return supplied.programFingerprint ==
+           buildProgram(point).fingerprint();
 }
 
 std::vector<SweepOutcome>

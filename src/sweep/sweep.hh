@@ -101,6 +101,11 @@ struct SweepOutcome
     sample::SampleEstimate estimate;
 };
 
+/** Build @p point's workload and instrument it for its informing
+ *  mode: the program every consumer of a point simulates, keys, or
+ *  fingerprints. */
+isa::Program buildProgram(const SweepPoint &point);
+
 /**
  * Run one point to completion: build its program, instrument it, and
  * simulate (full or sampled). Pure function of @p point — this is the

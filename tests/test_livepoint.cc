@@ -353,15 +353,16 @@ TEST(LivePointSampler, FoldedWindowSamplesMatchLocalRun)
     std::vector<sample::WindowSample> shards;
     for (const sample::LivePoint &point : lib->points)
         shards.push_back(
-            sample::runLivePointWindow<pipeline::InOrderCpu>(
-                prog, cfg, point, params.warmup, params.measure));
+            sample::WindowRunner<pipeline::InOrderCpu>(prog, cfg).run(
+                point, params.warmup, params.measure));
 
     sample::Sampler seq(prog, cfg, params);
     const sample::SampleEstimate expect = seq.run();
 
     sample::Sampler fold(prog, cfg, params);
     fold.setLibrary(lib);
-    expectSameEstimate(fold.runFromWindowSamples(shards), expect);
+    expectSameEstimate(fold.runFromWindowSamples(lib->totals, shards),
+                       expect);
 }
 
 TEST(LivePointSampler, MismatchedLibraryIsAStructuredError)
@@ -392,6 +393,7 @@ TEST(LivePointSampler, MismatchedLibraryIsAStructuredError)
     sample::Sampler fold(prog, cfg, sample::SampleParams{});
     fold.setLibrary(lib);
     const sample::SampleEstimate e3 = fold.runFromWindowSamples(
+        lib->totals,
         std::vector<sample::WindowSample>(lib->points.size() + 1));
     EXPECT_FALSE(e3.ok);
     EXPECT_EQ(e3.error.code, ErrCode::BadConfig);
