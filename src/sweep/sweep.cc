@@ -8,6 +8,7 @@
 #include <unordered_map>
 
 #include "common/error.hh"
+#include "common/stats.hh"
 #include "pipeline/simulate.hh"
 #include "sample/sharedpass.hh"
 #include "sweep/engine.hh"
@@ -484,22 +485,6 @@ runSweep(const std::vector<SweepPoint> &points, unsigned jobs,
     return outcomes;
 }
 
-namespace
-{
-
-void
-jsonEscape(std::ostream &os, const std::string &s)
-{
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            os << '\\' << c;
-        else
-            os << c;
-    }
-}
-
-} // anonymous namespace
-
 const char *const reportJsonPrefix = "{\"sweep\":{\"points\":[";
 const char *const reportJsonSuffix = "]}}\n";
 
@@ -512,9 +497,9 @@ writePointJson(std::ostream &os, const SweepOutcome &o)
         const pipeline::MachineConfig cfg = p.resolveConfig();
 
         os << "{\"machine\":\"";
-        jsonEscape(os, cfg.name);
+        os << stats::jsonEscape(cfg.name);
         os << "\",\"workload\":\"";
-        jsonEscape(os, p.workload);
+        os << stats::jsonEscape(p.workload);
         os << "\",\"mode\":\"" << core::informingModeName(p.mode)
            << "\",\"handler_len\":" << p.handlerLen
            << ",\"scale\":" << p.scale
@@ -527,14 +512,14 @@ writePointJson(std::ostream &os, const SweepOutcome &o)
            << ",\"mem_latency\":" << cfg.mem.memLatency
            << ",\"mshrs\":" << cfg.mem.mshrs
            << ",\"sample\":\"";
-        jsonEscape(os, p.sample);
+        os << stats::jsonEscape(p.sample);
         os << '"';
         if (!p.sample.empty()) {
             const sample::SampleEstimate &e = o.estimate;
             os << ",\"ok\":" << (e.ok ? "true" : "false");
             if (!e.ok) {
                 os << ",\"error\":\"";
-                jsonEscape(os, e.error.message);
+                os << stats::jsonEscape(e.error.message);
                 os << '"';
             }
             os << ",\"windows\":" << e.windows
@@ -557,7 +542,7 @@ writePointJson(std::ostream &os, const SweepOutcome &o)
         os << ",\"ok\":" << (r.ok ? "true" : "false");
         if (!r.ok) {
             os << ",\"error\":\"";
-            jsonEscape(os, r.error.message);
+            os << stats::jsonEscape(r.error.message);
             os << '"';
         }
         os << ",\"cycles\":" << r.cycles

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/error.hh"
+#include "common/json.hh"
 #include "memory/geometry.hh"
 #include "sweep/engine.hh"
 #include "sweep/sweep.hh"
@@ -274,6 +275,27 @@ TEST(SweepRun, SampledAxisReportByteIdenticalAcrossJobCounts)
     EXPECT_EQ(j1, j4);
     EXPECT_NE(j1.find("\"sample\":\"9973:300:300\""), std::string::npos);
     EXPECT_NE(j1.find("\"cpi_mean\":"), std::string::npos);
+}
+
+TEST(SweepRun, ReportFragmentEscapesControlCharacters)
+{
+    // Error messages can carry anything a workload or the OS put in
+    // them; the fragment must stay valid JSON and round-trip exactly.
+    sweep::SweepOutcome o;
+    o.point.machine = "inorder";
+    o.point.workload = "tab\there \"quoted\" back\\slash";
+    o.point.sample = "997:100:100";
+    o.estimate.ok = false;
+    o.estimate.error.message = "line one\nline two\r\x01\x1f end";
+
+    std::ostringstream os;
+    sweep::writePointJson(os, o);
+    json::Value v;
+    std::string err;
+    ASSERT_TRUE(json::parse(os.str(), v, err)) << err << ": " << os.str();
+    ASSERT_NE(v.find("error"), nullptr);
+    EXPECT_EQ(v.find("error")->asString(), o.estimate.error.message);
+    EXPECT_EQ(v.find("workload")->asString(), o.point.workload);
 }
 
 // -------------------------------------------------------------- geometry
