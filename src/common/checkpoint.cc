@@ -503,7 +503,8 @@ Deserializer::raw(void *out, std::size_t len)
                  "checkpoint section '%s' truncated: read of %zu bytes "
                  "at offset %zu exceeds %zu-byte payload",
                  s.name.c_str(), len, _cursor, s.length);
-    std::memcpy(out, _image.data() + s.offset + _cursor, len);
+    if (len != 0) // an empty vector's data() may be null
+        std::memcpy(out, _image.data() + s.offset + _cursor, len);
     _cursor += len;
 }
 

@@ -61,6 +61,29 @@ TEST(Container, RoundTrip)
     d.closeSection();
 }
 
+TEST(Container, ZeroLengthReadsRoundTrip)
+{
+    // Empty vectors hand the reader a null destination for a
+    // zero-byte copy (the farm's empty image fields do this).
+    Serializer s;
+    s.beginSection("empty");
+    s.endSection();
+    s.beginSection("zeros");
+    s.vecU8({});
+    s.vecU64({});
+    s.str("");
+    s.endSection();
+
+    Deserializer d(s.finish());
+    d.openSection("empty");
+    d.closeSection();
+    d.openSection("zeros");
+    EXPECT_TRUE(d.vecU8().empty());
+    EXPECT_TRUE(d.vecU64().empty());
+    EXPECT_EQ(d.str(), "");
+    d.closeSection();
+}
+
 TEST(Container, CorruptedPayloadIsRejected)
 {
     std::vector<std::uint8_t> image = tinyImage();
