@@ -893,10 +893,23 @@ class Coordinator
 
         // Brief grace for clean local exits, then SIGKILL the rest
         // (stalled or mid-simulation workers have nothing we still
-        // need).
+        // need). A listening farm keeps its port open for the whole
+        // grace and answers every daemon that connects while it drains
+        // with Shutdown, so a late joiner learns the run is over
+        // instead of retrying a closed port until its budget runs out.
         const std::uint64_t grace_until = nowMs() + 200;
         for (;;) {
-            bool any_alive = false;
+            while (_listener) {
+                const std::unique_ptr<Transport> io = _listener->accept();
+                if (!io)
+                    break;
+                try {
+                    io->sendFrame(FrameType::Shutdown, {});
+                } catch (const SimException &) {
+                }
+                io->close();
+            }
+            bool linger = _listener.has_value();
             for (Peer &p : _peers) {
                 if (!p.alive)
                     continue;
@@ -904,10 +917,10 @@ class Coordinator
                     p.io->close();
                     p.alive = false;
                 } else {
-                    any_alive = true;
+                    linger = true;
                 }
             }
-            if (!any_alive || nowMs() >= grace_until)
+            if (!linger || nowMs() >= grace_until)
                 break;
             std::this_thread::sleep_for(std::chrono::milliseconds(10));
         }

@@ -255,6 +255,8 @@ serveSession(int rfd, int wfd, const SessionParams &params,
       case Wait::Stopped: return SessionEnd::Stopped;
       case Wait::GotFrame: break;
     }
+    if (frame.type == FrameType::Shutdown)
+        return SessionEnd::ShutdownReceived; // the farm already finished
     sim_throw_if(frame.type != FrameType::Challenge, ErrCode::WorkerLost,
                  "farm worker: expected Challenge, got frame type %u",
                  static_cast<unsigned>(frame.type));

@@ -31,8 +31,9 @@ mkdir -p "$outdir"
 ref="$outdir/ref.json"
 out="$outdir/farm.json"
 portfile="$outdir/port"
+w1log="$outdir/worker1.jsonl"
 farmlog="$outdir/farm.log"
-rm -f "$ref" "$out" "$portfile" "$farmlog"
+rm -f "$ref" "$out" "$portfile" "$w1log" "$farmlog"
 
 FARM_PID=""
 W1_PID=""
@@ -65,6 +66,25 @@ wait_port() {
     port=$(cat "$portfile")
 }
 
+# Wait until the first worker's session log records a lease: the farm
+# is running and still has work, so a worker started now joins it late.
+# If the farm finishes before that worker connects, the draining
+# coordinator answers it with Shutdown. (A fixed sleep raced the farm
+# to completion on fast hosts and left the late worker reconnecting to
+# a closed port.)
+wait_leased() {
+    i=0
+    until grep -q '"event":"lease"' "$1" 2>/dev/null; do
+        i=$((i + 1))
+        if [ "$i" -gt 1000 ]; then
+            echo "check_farm_net: first worker never received a lease" >&2
+            cat "$farmlog" >&2 || true
+            exit 1
+        fi
+        sleep 0.01
+    done
+}
+
 token=s3cret
 
 case "$mode" in
@@ -75,9 +95,9 @@ basic)
     FARM_PID=$!
     wait_port
     "$worker" --coordinator 127.0.0.1:"$port" --token "$token" \
-        --retries 30 --quiet &
+        --retries 30 --log-json "$w1log" --quiet &
     W1_PID=$!
-    sleep 0.3 # the second worker joins an already-running farm
+    wait_leased "$w1log" # the second worker joins a running farm
     "$worker" --coordinator 127.0.0.1:"$port" --token "$token" \
         --retries 30 --quiet &
     W2_PID=$!

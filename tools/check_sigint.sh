@@ -14,7 +14,23 @@ rm -f "$OUT" "$OUT.interrupted"
 "$BIN" --workloads hydro2d --machines ooo --modes N,S,U,CC \
        --scale 50 --jobs 1 --out "$OUT" &
 PID=$!
-sleep 1
+# Signal only once the SIGINT handler is installed (bit 1 of the
+# caught-signal mask in /proc): a fixed sleep could fire before it on a
+# slow host and kill the sweep outright. The sweep starts its first
+# point right after installing the handler, so the signal still lands
+# mid-sweep. Without /proc, fall back to waiting a second.
+i=0
+while [ "$i" -lt 500 ]; do
+    if [ ! -r "/proc/$PID/status" ]; then
+        sleep 1
+        break
+    fi
+    case $(sed -n 's/^SigCgt:[[:space:]]*//p' "/proc/$PID/status") in
+    *[2367abefABEF]) break ;;
+    esac
+    i=$((i + 1))
+    sleep 0.01
+done
 kill -INT "$PID" 2>/dev/null
 wait "$PID"
 RC=$?
