@@ -134,6 +134,8 @@ struct WindowSample
     std::uint64_t cycles = 0;   //!< cycles spanned by the measured span
     std::uint64_t misses = 0;   //!< L1 misses in the measured span
     std::uint64_t refs = 0;     //!< data references in the measured span
+
+    bool operator==(const WindowSample &) const = default;
 };
 
 /** Fixed-width little-endian encoding (the farm wire/store format). */

@@ -128,6 +128,7 @@ Sampler::Sampler(isa::Program program,
 bool
 Sampler::foldWindow(const WindowSample &ws)
 {
+    _folded.push_back(ws);
     _est.detailedInstructions += ws.warmed;
     if (ws.warmed < _params.warmup)
         return false; // halted during warmup
@@ -405,6 +406,7 @@ Sampler::resetAccumulators()
     _missRate.reset();
     _winMisses.clear();
     _winRefs.clear();
+    _folded.clear();
     _captured.reset();
     _est = SampleEstimate{};
     _est.machine = _config.name;

@@ -269,6 +269,14 @@ class Sampler
     /** Estimate from the most recent run() (empty before). */
     const SampleEstimate &estimate() const { return _est; }
 
+    /** Every window sample the most recent entry folded, in fold
+     *  order; the last one may be a halt-truncated window. */
+    const std::vector<WindowSample> &
+    windowSamples() const
+    {
+        return _folded;
+    }
+
     /** Expose the window distributions and schedule counters as a
      *  "sample" group under @p parent. Valid for this object's life. */
     void registerStats(stats::StatGroup &parent);
@@ -328,6 +336,8 @@ class Sampler
     bool _retainCapture = false;
     std::shared_ptr<const LivePointLibrary> _library;
     std::shared_ptr<const LivePointLibrary> _captured;
+
+    std::vector<WindowSample> _folded;
 
     // Per-measured-window (misses, refs) pairs across all passes, the
     // raw material of the miss-rate ratio estimator.
