@@ -1275,7 +1275,7 @@ runFarmWindows(const sweep::SweepPoint &point,
         samples.push_back(sample::decodeWindowSample(
             std::string(s.fragment.begin(), s.fragment.end())));
 
-    sample::Sampler sampler(sweep::buildProgram(point),
+    sample::Sampler sampler(point.buildProgram(),
                             point.resolveConfig(),
                             sample::SampleParams::parse(point.sample));
     sampler.setLibrary(library);

@@ -69,7 +69,7 @@ keyForPoint(const sweep::SweepPoint &point)
     // generator, the instrumenter, or the handler library changes the
     // address and invalidates cached results for exactly the affected
     // points.
-    key.programHash = sweep::buildProgram(point).fingerprint();
+    key.programHash = point.buildProgram().fingerprint();
 
     key.schemaVersion = sweep::reportSchemaVersion;
     return key;
@@ -91,7 +91,7 @@ keyForGroup(const std::vector<sweep::SweepPoint> &members)
     // Members agree on workload/mode/handlerLen/scale/seed (the
     // multi-cache grouping key), so the shared program fingerprints
     // once for the whole group.
-    key.programHash = sweep::buildProgram(members.front()).fingerprint();
+    key.programHash = members.front().buildProgram().fingerprint();
 
     key.schemaVersion = sweep::reportSchemaVersion;
     return key;

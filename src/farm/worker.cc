@@ -212,7 +212,7 @@ class WindowLeaseRunner
         _point = p;
         _cfg = p.resolveConfig();
         _sp = sample::SampleParams::parse(p.sample);
-        const isa::Program prog = sweep::buildProgram(p);
+        const isa::Program prog = p.buildProgram();
         // The runner keeps a reference to the config, so it must point
         // at the stable member, not a local.
         if (_cfg.outOfOrder)

@@ -47,6 +47,16 @@ SweepPoint::resolveConfig() const
     return cfg;
 }
 
+isa::Program
+SweepPoint::buildProgram() const
+{
+    workloads::WorkloadParams wp;
+    wp.scale = scale;
+    wp.seed = seed;
+    return core::instrument(workloads::build(workload, wp), mode,
+                            {.length = handlerLen});
+}
+
 std::vector<SweepPoint>
 expandGrid(const SweepGrid &grid)
 {
@@ -98,16 +108,6 @@ expandGrid(const SweepGrid &grid)
     return points;
 }
 
-isa::Program
-buildProgram(const SweepPoint &point)
-{
-    workloads::WorkloadParams wp;
-    wp.scale = point.scale;
-    wp.seed = point.seed;
-    return core::instrument(workloads::build(point.workload, wp),
-                            point.mode, {.length = point.handlerLen});
-}
-
 SweepOutcome
 runPoint(const SweepPoint &point)
 {
@@ -123,7 +123,7 @@ runPoint(const SweepPoint &point,
     out.point = point;
 
     const pipeline::MachineConfig cfg = point.resolveConfig();
-    const isa::Program prog = buildProgram(point);
+    const isa::Program prog = point.buildProgram();
     if (point.sample.empty()) {
         out.result = pipeline::simulate(prog, cfg);
     } else {
@@ -207,7 +207,7 @@ planMultiCacheGroups(const std::vector<SweepPoint> &points)
         // so it cannot share a pass and stays dedicated.
         try {
             if (!sample::sharedPassEligible(
-                    buildProgram(points[members[0]])))
+                    points[members[0]].buildProgram()))
                 continue;
         } catch (const SimException &) {
             continue; // workload/instrument errors surface per point
@@ -237,7 +237,7 @@ runPointGroup(const std::vector<SweepPoint> &members,
                      describePoint(p0).c_str());
     }
 
-    const isa::Program prog = buildProgram(p0);
+    const isa::Program prog = p0.buildProgram();
     const sample::SampleParams params =
         sample::SampleParams::parse(p0.sample);
     std::vector<pipeline::MachineConfig> cfgs;
@@ -278,8 +278,7 @@ libraryMatchesPoint(const sample::LivePointLibrary &supplied,
         return false;
     if (supplied.digest != sample::captureDigest(point.resolveConfig()))
         return false;
-    return supplied.programFingerprint ==
-           buildProgram(point).fingerprint();
+    return supplied.programFingerprint == point.buildProgram().fingerprint();
 }
 
 std::vector<SweepOutcome>

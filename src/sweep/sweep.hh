@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/informing.hh"
+#include "isa/program.hh"
 #include "pipeline/config.hh"
 #include "pipeline/result.hh"
 #include "sample/sample.hh"
@@ -61,6 +62,11 @@ struct SweepPoint
     /** The point's machine config with overrides applied. */
     pipeline::MachineConfig resolveConfig() const;
 
+    /** The point's workload, built and instrumented for its informing
+     *  mode: the program every consumer of a point simulates, keys, or
+     *  fingerprints. */
+    isa::Program buildProgram() const;
+
     bool operator==(const SweepPoint &o) const = default;
 };
 
@@ -100,11 +106,6 @@ struct SweepOutcome
     pipeline::RunResult result;
     sample::SampleEstimate estimate;
 };
-
-/** Build @p point's workload and instrument it for its informing
- *  mode: the program every consumer of a point simulates, keys, or
- *  fingerprints. */
-isa::Program buildProgram(const SweepPoint &point);
 
 /**
  * Run one point to completion: build its program, instrument it, and

@@ -54,7 +54,7 @@ expectEveryProducerAgrees(const char *machine)
     point.scale = 0.1;
     point.sample = "9973:300:300";
 
-    const isa::Program prog = sweep::buildProgram(point);
+    const isa::Program prog = point.buildProgram();
     const pipeline::MachineConfig cfg = point.resolveConfig();
     const sample::SampleParams params =
         sample::SampleParams::parse(point.sample);
