@@ -280,13 +280,8 @@ Sampler::runPass(const char *kind, std::uint32_t pass,
         WarmingTraceSource<Cpu> tee(exec, accum);
         for (;;) {
             if (stop_requested()) [[unlikely]] {
-                // Leave one unrun slot where the stop landed: the fold
-                // takes the windows that ran, then fails exactly as a
-                // stopped pool does.
-                completed.assign(samples.size(), 1);
-                completed.push_back(0);
-                samples.emplace_back();
-                break;
+                foldWindowSamples(samples, nullptr); // the windows that ran
+                throwInterrupted();
             }
             if (exec.fastForward(gap, &warmer) < gap)
                 break; // program halted inside the gap

@@ -9,16 +9,20 @@
  * through sample::runWindow() and fold through one Sampler entry, so
  * for one eligible point per CPU kind they must agree on the exact
  * std::vector<WindowSample> and on the estimate's report bytes — not
- * just pairwise, and not just on the folded estimate.
+ * just pairwise, and not just on the folded estimate. A cooperative
+ * stop must surface as the same Interrupted failure on every path that
+ * honours the stop flag.
  */
 
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/error.hh"
 #include "pipeline/inorder/cpu.hh"
 #include "pipeline/ooo/cpu.hh"
 #include "sample/livepoint.hh"
@@ -30,6 +34,18 @@ using namespace imo;
 
 namespace
 {
+
+sweep::SweepPoint
+sampledPoint(const char *machine)
+{
+    sweep::SweepPoint point;
+    point.machine = machine;
+    point.workload = "hydro2d";
+    point.mode = core::InformingMode::None;
+    point.scale = 0.1;
+    point.sample = "9973:300:300";
+    return point;
+}
 
 std::string
 reportBytes(const sweep::SweepPoint &point,
@@ -47,13 +63,7 @@ template <typename Cpu>
 void
 expectEveryProducerAgrees(const char *machine)
 {
-    sweep::SweepPoint point;
-    point.machine = machine;
-    point.workload = "hydro2d";
-    point.mode = core::InformingMode::None;
-    point.scale = 0.1;
-    point.sample = "9973:300:300";
-
+    const sweep::SweepPoint point = sampledPoint(machine);
     const isa::Program prog = point.buildProgram();
     const pipeline::MachineConfig cfg = point.resolveConfig();
     const sample::SampleParams params =
@@ -133,4 +143,36 @@ TEST(WindowEquivalence, EveryProducerAgreesInOrder)
 TEST(WindowEquivalence, EveryProducerAgreesOutOfOrder)
 {
     expectEveryProducerAgrees<pipeline::OooCpu>("ooo");
+}
+
+TEST(WindowEquivalence, StopIsReportedAlikeOnEveryPath)
+{
+    const sweep::SweepPoint point = sampledPoint("inorder");
+    const isa::Program prog = point.buildProgram();
+    const pipeline::MachineConfig cfg = point.resolveConfig();
+    const sample::SampleParams params =
+        sample::SampleParams::parse(point.sample);
+
+    sample::Sampler capture(prog, cfg, params);
+    capture.setRetainCapture(true);
+    ASSERT_TRUE(capture.run().ok);
+
+    volatile std::sig_atomic_t stop = 1;
+    pipeline::SimulateOptions opt;
+    opt.stopFlag = &stop;
+    const auto expectStopped = [&](const char *path, unsigned jobs,
+                                   bool replay) {
+        sample::Sampler s(prog, cfg, params);
+        s.setJobs(jobs);
+        if (replay)
+            s.setLibrary(capture.capturedLibrary());
+        const sample::SampleEstimate est = s.run(opt);
+        EXPECT_FALSE(est.ok) << path;
+        EXPECT_EQ(est.error.code, ErrCode::Interrupted) << path;
+        EXPECT_EQ(est.error.message, "interrupted after 0 sampled windows")
+            << path;
+    };
+    expectStopped("interleaved", 1, false);
+    expectStopped("capture+pool", 4, false);
+    expectStopped("library replay", 4, true);
 }
