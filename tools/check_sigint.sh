@@ -18,13 +18,9 @@ PID=$!
 # caught-signal mask in /proc): a fixed sleep could fire before it on a
 # slow host and kill the sweep outright. The sweep starts its first
 # point right after installing the handler, so the signal still lands
-# mid-sweep. Without /proc, fall back to waiting a second.
+# mid-sweep.
 i=0
-while [ "$i" -lt 500 ]; do
-    if [ ! -r "/proc/$PID/status" ]; then
-        sleep 1
-        break
-    fi
+while [ "$i" -lt 500 ] && [ -r "/proc/$PID/status" ]; do
     case $(sed -n 's/^SigCgt:[[:space:]]*//p' "/proc/$PID/status") in
     *[2367abefABEF]) break ;;
     esac
