@@ -123,6 +123,15 @@ struct MissRateBounds
     double inoLo, inoHi;   //!< L1 miss rate on the 8 KiB direct-mapped
 };
 
+// Without this, gtest prints the parameter as raw bytes, including the
+// address of `name`, and ctest's discovered test names then change with
+// every run under ASLR.
+void
+PrintTo(const MissRateBounds &b, std::ostream *os)
+{
+    *os << b.name;
+}
+
 class MissRateTest : public ::testing::TestWithParam<MissRateBounds>
 {
 };
