@@ -28,6 +28,96 @@
 namespace imo::sweep
 {
 
+namespace detail
+{
+
+/**
+ * The one drain loop behind runOrdered() and runOrderedWith(): run
+ * @p run(i, ctx) for every index below @p count on @p jobs threads,
+ * each with its own context from @p make_ctx, and return the results
+ * in index order. See runOrdered() for the error and cancellation
+ * contract.
+ */
+template <typename R, typename MakeCtx, typename Run>
+std::vector<R>
+drainOrdered(std::size_t count, unsigned jobs, const MakeCtx &make_ctx,
+             const Run &run, const volatile std::sig_atomic_t *cancel,
+             std::vector<std::uint8_t> *completed)
+{
+    std::vector<R> results(count);
+    if (completed)
+        completed->assign(count, 0);
+    if (count == 0)
+        return results;
+
+    if (jobs <= 1) {
+        auto ctx = make_ctx();
+        for (std::size_t i = 0; i < count; ++i) {
+            if (cancel && *cancel)
+                break;
+            results[i] = run(i, ctx);
+            if (completed)
+                (*completed)[i] = 1;
+        }
+        return results;
+    }
+
+    std::atomic<std::size_t> next{0};
+    // First failing task by *index*, so the surfaced error does not
+    // depend on which worker happened to hit it first.
+    std::vector<std::exception_ptr> errors(count);
+    const unsigned n =
+        static_cast<unsigned>(std::min<std::size_t>(jobs, count));
+    // A context that fails to construct must not terminate the
+    // process (worker threads have no caller to throw to); it is
+    // reported after every task error.
+    std::vector<std::exception_ptr> ctx_errors(n);
+
+    auto worker = [&](unsigned t) {
+        std::optional<decltype(make_ctx())> ctx;
+        try {
+            ctx.emplace(make_ctx());
+        } catch (...) {
+            ctx_errors[t] = std::current_exception();
+            return;
+        }
+        for (;;) {
+            if (cancel && *cancel)
+                return;
+            const std::size_t i =
+                next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= count)
+                return;
+            try {
+                results[i] = run(i, *ctx);
+                if (completed)
+                    (*completed)[i] = 1;
+            } catch (...) {
+                errors[i] = std::current_exception();
+            }
+        }
+    };
+
+    std::vector<std::thread> pool;
+    pool.reserve(n);
+    for (unsigned t = 0; t < n; ++t)
+        pool.emplace_back(worker, t);
+    for (std::thread &t : pool)
+        t.join();
+
+    for (const std::exception_ptr &e : errors) {
+        if (e)
+            std::rethrow_exception(e);
+    }
+    for (const std::exception_ptr &e : ctx_errors) {
+        if (e)
+            std::rethrow_exception(e);
+    }
+    return results;
+}
+
+} // namespace detail
+
 /**
  * Run every task on @p jobs worker threads and return their results
  * in input order. A task that throws poisons the run: the first
@@ -55,60 +145,13 @@ runOrdered(const std::vector<std::function<R()>> &tasks,
            const volatile std::sig_atomic_t *cancel = nullptr,
            std::vector<std::uint8_t> *completed = nullptr)
 {
-    std::vector<R> results(tasks.size());
-    if (completed)
-        completed->assign(tasks.size(), 0);
-    if (tasks.empty())
-        return results;
-
-    if (jobs <= 1) {
-        for (std::size_t i = 0; i < tasks.size(); ++i) {
-            if (cancel && *cancel)
-                break;
-            results[i] = tasks[i]();
-            if (completed)
-                (*completed)[i] = 1;
-        }
-        return results;
-    }
-
-    std::atomic<std::size_t> next{0};
-    // First failing task by *index*, so the surfaced error does not
-    // depend on which worker happened to hit it first.
-    std::vector<std::exception_ptr> errors(tasks.size());
-
-    auto worker = [&] {
-        for (;;) {
-            if (cancel && *cancel)
-                return;
-            const std::size_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= tasks.size())
-                return;
-            try {
-                results[i] = tasks[i]();
-                if (completed)
-                    (*completed)[i] = 1;
-            } catch (...) {
-                errors[i] = std::current_exception();
-            }
-        }
+    struct NoContext
+    {
     };
-
-    const unsigned n =
-        static_cast<unsigned>(std::min<std::size_t>(jobs, tasks.size()));
-    std::vector<std::thread> pool;
-    pool.reserve(n);
-    for (unsigned t = 0; t < n; ++t)
-        pool.emplace_back(worker);
-    for (std::thread &t : pool)
-        t.join();
-
-    for (const std::exception_ptr &e : errors) {
-        if (e)
-            std::rethrow_exception(e);
-    }
-    return results;
+    return detail::drainOrdered<R>(
+        tasks.size(), jobs, [] { return NoContext{}; },
+        [&](std::size_t i, NoContext &) { return tasks[i](); }, cancel,
+        completed);
 }
 
 /**
@@ -131,75 +174,10 @@ runOrderedWith(const std::function<Ctx()> &make_ctx,
                const volatile std::sig_atomic_t *cancel = nullptr,
                std::vector<std::uint8_t> *completed = nullptr)
 {
-    std::vector<R> results(tasks.size());
-    if (completed)
-        completed->assign(tasks.size(), 0);
-    if (tasks.empty())
-        return results;
-
-    if (jobs <= 1) {
-        Ctx ctx = make_ctx();
-        for (std::size_t i = 0; i < tasks.size(); ++i) {
-            if (cancel && *cancel)
-                break;
-            results[i] = tasks[i](ctx);
-            if (completed)
-                (*completed)[i] = 1;
-        }
-        return results;
-    }
-
-    std::atomic<std::size_t> next{0};
-    std::vector<std::exception_ptr> errors(tasks.size());
-    const unsigned n =
-        static_cast<unsigned>(std::min<std::size_t>(jobs, tasks.size()));
-    // A context that fails to construct must not terminate the
-    // process (worker threads have no caller to throw to); it is
-    // reported like a task failure, attributed to the first task the
-    // worker would have pulled.
-    std::vector<std::exception_ptr> ctx_errors(n);
-
-    auto worker = [&](unsigned t) {
-        std::optional<Ctx> ctx;
-        try {
-            ctx.emplace(make_ctx());
-        } catch (...) {
-            ctx_errors[t] = std::current_exception();
-            return;
-        }
-        for (;;) {
-            if (cancel && *cancel)
-                return;
-            const std::size_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= tasks.size())
-                return;
-            try {
-                results[i] = tasks[i](*ctx);
-                if (completed)
-                    (*completed)[i] = 1;
-            } catch (...) {
-                errors[i] = std::current_exception();
-            }
-        }
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(n);
-    for (unsigned t = 0; t < n; ++t)
-        pool.emplace_back(worker, t);
-    for (std::thread &t : pool)
-        t.join();
-
-    for (const std::exception_ptr &e : errors) {
-        if (e)
-            std::rethrow_exception(e);
-    }
-    for (const std::exception_ptr &e : ctx_errors) {
-        if (e)
-            std::rethrow_exception(e);
-    }
-    return results;
+    return detail::drainOrdered<R>(
+        tasks.size(), jobs, make_ctx,
+        [&](std::size_t i, Ctx &ctx) { return tasks[i](ctx); }, cancel,
+        completed);
 }
 
 } // namespace imo::sweep
