@@ -74,37 +74,16 @@ class PatchedWindowSource final : public func::TraceSource
     std::size_t _ref = 0;
 };
 
-
 template <typename Cpu>
 SharedPassResult
 runSharedPassImpl(const isa::Program &program,
                   const std::vector<pipeline::MachineConfig> &members,
                   const SampleParams &params)
 {
-    // Dedupe classification work: members sharing an (L1, L2) geometry
-    // pair share one engine config (they differ in latency/MSHR knobs
-    // only, which the per-member window replay applies).
-    std::vector<memory::MultiCacheConfig> classCfgs;
-    std::vector<std::size_t> classOf(members.size());
-    for (std::size_t m = 0; m < members.size(); ++m) {
-        const pipeline::MachineConfig &cfg = members[m];
-        std::size_t k = 0;
-        for (; k < classCfgs.size(); ++k) {
-            const memory::MultiCacheConfig &cc = classCfgs[k];
-            if (cc.l1.sizeBytes == cfg.l1.sizeBytes &&
-                cc.l1.lineBytes == cfg.l1.lineBytes &&
-                cc.l1.assoc == cfg.l1.assoc &&
-                cc.l2.sizeBytes == cfg.l2.sizeBytes &&
-                cc.l2.lineBytes == cfg.l2.lineBytes &&
-                cc.l2.assoc == cfg.l2.assoc)
-                break;
-        }
-        if (k == classCfgs.size())
-            classCfgs.push_back({cfg.l1, cfg.l2});
-        classOf[m] = k;
-    }
+    const CacheClasses classes = cacheClasses(members);
+    const std::vector<std::size_t> &classOf = classes.classOf;
 
-    memory::MultiCacheSim engine(classCfgs);
+    memory::MultiCacheSim engine(classes.configs);
     EngineSink sink(engine);
 
     // The executor runs under the first member's geometry; its own
@@ -177,13 +156,37 @@ runSharedPassImpl(const isa::Program &program,
             .l1Misses = engine.l1Misses(classOf[m]),
             .traps = es.traps};
     }
-    res.configs = classCfgs.size();
+    res.configs = classes.configs.size();
     res.streamLength = engine.accesses();
     res.prefetches = engine.prefetches();
     return res;
 }
 
-} // namespace
+} // anonymous namespace
+
+CacheClasses
+cacheClasses(const std::vector<pipeline::MachineConfig> &members)
+{
+    CacheClasses classes;
+    classes.classOf.reserve(members.size());
+    for (const pipeline::MachineConfig &cfg : members) {
+        std::size_t k = 0;
+        for (; k < classes.configs.size(); ++k) {
+            const memory::MultiCacheConfig &cc = classes.configs[k];
+            if (cc.l1.sizeBytes == cfg.l1.sizeBytes &&
+                cc.l1.lineBytes == cfg.l1.lineBytes &&
+                cc.l1.assoc == cfg.l1.assoc &&
+                cc.l2.sizeBytes == cfg.l2.sizeBytes &&
+                cc.l2.lineBytes == cfg.l2.lineBytes &&
+                cc.l2.assoc == cfg.l2.assoc)
+                break;
+        }
+        if (k == classes.configs.size())
+            classes.configs.push_back({cfg.l1, cfg.l2});
+        classes.classOf.push_back(k);
+    }
+    return classes;
+}
 
 bool
 sharedPassEligible(const isa::Program &program)

@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "isa/program.hh"
+#include "memory/multicache.hh"
 #include "pipeline/config.hh"
 #include "sample/sample.hh"
 
@@ -61,6 +62,20 @@ struct SharedPassResult
     std::uint64_t prefetches = 0;   //!< prefetches observed
     std::uint64_t windows = 0;      //!< window boundaries served
 };
+
+/** The distinct (L1, L2) cache geometries among a shared pass's
+ *  members: one classification config per class, in first-appearance
+ *  order. Members that differ only in latency or MSHR knobs share a
+ *  class. */
+struct CacheClasses
+{
+    std::vector<memory::MultiCacheConfig> configs;
+    std::vector<std::size_t> classOf; //!< per member: index into configs
+};
+
+/** Derive the cache classes of @p members (the same classes, in the
+ *  same order, that runSharedGeometryPass() classifies). */
+CacheClasses cacheClasses(const std::vector<pipeline::MachineConfig> &members);
 
 /**
  * Is @p program eligible for a shared reference pass? True iff no
