@@ -280,7 +280,8 @@ BM_FarmOverhead(benchmark::State &state)
     farm::StatsMsg stats;
     stats.simulateMs = 3;
     stats.serializeMs = 1;
-    stats.statsJson = "{\"cycles\":1000,\"instructions\":400}";
+    stats.cycles = 1000;
+    stats.instructions = 400;
     std::uint64_t now = 1;
     std::size_t slot = 0;
     for (auto _ : state) {

@@ -17,8 +17,6 @@ namespace
 
 constexpr std::uint32_t kFrameMagic = 0x464f4d49u; // "IMOF" little-endian
 
-constexpr std::size_t kFrameHeaderBytes = frameHeaderBytes;
-
 bool
 validFrameType(std::uint32_t t)
 {
@@ -26,43 +24,42 @@ validFrameType(std::uint32_t t)
            t <= static_cast<std::uint32_t>(FrameType::Stats);
 }
 
+template <typename T>
 void
-putU32(std::vector<std::uint8_t> &out, std::uint32_t v)
+put(std::vector<std::uint8_t> &out, T v)
 {
     const auto *p = reinterpret_cast<const std::uint8_t *>(&v);
-    out.insert(out.end(), p, p + 4);
+    out.insert(out.end(), p, p + sizeof v);
 }
 
-void
-putU64(std::vector<std::uint8_t> &out, std::uint64_t v)
+template <typename T>
+T
+get(const std::uint8_t *p)
 {
-    const auto *p = reinterpret_cast<const std::uint8_t *>(&v);
-    out.insert(out.end(), p, p + 8);
-}
-
-std::uint32_t
-getU32(const std::uint8_t *p)
-{
-    std::uint32_t v;
-    std::memcpy(&v, p, 4);
+    T v;
+    std::memcpy(&v, p, sizeof v);
     return v;
 }
 
-std::uint64_t
-getU64(const std::uint8_t *p)
+/** The fields of a frame header after the magic. */
+struct Header
 {
-    std::uint64_t v;
-    std::memcpy(&v, p, 8);
-    return v;
-}
+    FrameType type;
+    std::uint64_t len;
+    std::uint32_t crc;
+};
 
 /**
- * Validate a parsed header. Throws WorkerLost on garbage so both the
- * blocking reader and the incremental parser reject identically.
+ * Parse and validate the frame header at @p p. Throws WorkerLost on
+ * garbage so both the blocking reader and the incremental parser
+ * reject identically.
  */
-void
-checkHeader(std::uint32_t magic, std::uint32_t type, std::uint64_t len)
+Header
+parseHeader(const std::uint8_t *p)
 {
+    const auto magic = get<std::uint32_t>(p);
+    const auto type = get<std::uint32_t>(p + 4);
+    const auto len = get<std::uint64_t>(p + 8);
     sim_throw_if(magic != kFrameMagic, ErrCode::WorkerLost,
                  "farm protocol: bad frame magic %08x", magic);
     sim_throw_if(!validFrameType(type), ErrCode::WorkerLost,
@@ -72,6 +69,8 @@ checkHeader(std::uint32_t magic, std::uint32_t type, std::uint64_t len)
                  "(limit %llu)",
                  static_cast<unsigned long long>(len),
                  static_cast<unsigned long long>(maxFramePayload));
+    return {static_cast<FrameType>(type), len,
+            get<std::uint32_t>(p + 16)};
 }
 
 void
@@ -111,11 +110,11 @@ std::vector<std::uint8_t>
 buildFrame(FrameType type, const std::vector<std::uint8_t> &payload)
 {
     std::vector<std::uint8_t> buf;
-    buf.reserve(kFrameHeaderBytes + payload.size());
-    putU32(buf, kFrameMagic);
-    putU32(buf, static_cast<std::uint32_t>(type));
-    putU64(buf, payload.size());
-    putU32(buf, crc32(payload.data(), payload.size()));
+    buf.reserve(frameHeaderBytes + payload.size());
+    put<std::uint32_t>(buf, kFrameMagic);
+    put<std::uint32_t>(buf, static_cast<std::uint32_t>(type));
+    put<std::uint64_t>(buf, payload.size());
+    put<std::uint32_t>(buf, crc32(payload.data(), payload.size()));
     buf.insert(buf.end(), payload.begin(), payload.end());
     return buf;
 }
@@ -144,26 +143,21 @@ writeFrame(int fd, FrameType type,
 bool
 readFrame(int fd, Frame *out)
 {
-    std::uint8_t header[kFrameHeaderBytes];
+    std::uint8_t header[frameHeaderBytes];
     const std::size_t got = readFull(fd, header, sizeof header);
     if (got == 0)
         return false; // clean EOF between frames
     sim_throw_if(got < sizeof header, ErrCode::WorkerLost,
                  "farm protocol: EOF inside a frame header");
 
-    const std::uint32_t magic = getU32(header);
-    const std::uint32_t type = getU32(header + 4);
-    const std::uint64_t len = getU64(header + 8);
-    const std::uint32_t crc = getU32(header + 16);
-    checkHeader(magic, type, len);
-
-    out->type = static_cast<FrameType>(type);
-    out->payload.resize(static_cast<std::size_t>(len));
+    const Header h = parseHeader(header);
+    out->type = h.type;
+    out->payload.resize(static_cast<std::size_t>(h.len));
     sim_throw_if(readFull(fd, out->payload.data(), out->payload.size()) <
                      out->payload.size(),
                  ErrCode::WorkerLost,
                  "farm protocol: EOF inside a frame payload");
-    checkPayloadCrc(out->payload, crc);
+    checkPayloadCrc(out->payload, h.crc);
     return true;
 }
 
@@ -176,88 +170,22 @@ FrameParser::feed(const std::uint8_t *data, std::size_t len)
 bool
 FrameParser::next(Frame *out)
 {
-    if (_buf.size() < kFrameHeaderBytes)
+    if (_buf.size() < frameHeaderBytes)
         return false;
-    const std::uint32_t magic = getU32(_buf.data());
-    const std::uint32_t type = getU32(_buf.data() + 4);
-    const std::uint64_t len = getU64(_buf.data() + 8);
-    const std::uint32_t crc = getU32(_buf.data() + 16);
-    checkHeader(magic, type, len);
-    if (_buf.size() < kFrameHeaderBytes + len)
+    const Header h = parseHeader(_buf.data());
+    if (_buf.size() < frameHeaderBytes + h.len)
         return false;
 
-    out->type = static_cast<FrameType>(type);
-    out->payload.assign(_buf.begin() + kFrameHeaderBytes,
-                        _buf.begin() + kFrameHeaderBytes +
-                            static_cast<std::size_t>(len));
-    _buf.erase(_buf.begin(),
-               _buf.begin() + kFrameHeaderBytes +
-                   static_cast<std::size_t>(len));
-    checkPayloadCrc(out->payload, crc);
+    const auto end =
+        _buf.begin() + frameHeaderBytes + static_cast<std::size_t>(h.len);
+    out->type = h.type;
+    out->payload.assign(_buf.begin() + frameHeaderBytes, end);
+    _buf.erase(_buf.begin(), end);
+    checkPayloadCrc(out->payload, h.crc);
     return true;
 }
 
 // --- Message payload codecs -----------------------------------------
-
-namespace
-{
-
-void
-savePoint(Serializer &s, const sweep::SweepPoint &p)
-{
-    s.str(p.machine);
-    s.str(p.workload);
-    s.u8(static_cast<std::uint8_t>(p.mode));
-    s.u32(p.handlerLen);
-    s.f64(p.scale);
-    s.u64(p.seed);
-    s.u64(p.l1SizeBytes);
-    s.u32(p.l1Assoc);
-    s.u64(p.l2SizeBytes);
-    s.u32(p.l2Assoc);
-    s.u64(p.l2Latency);
-    s.u64(p.memLatency);
-    s.u32(p.mshrs);
-    s.str(p.sample);
-}
-
-sweep::SweepPoint
-restorePoint(Deserializer &d)
-{
-    sweep::SweepPoint p;
-    p.machine = d.str();
-    p.workload = d.str();
-    p.mode = static_cast<core::InformingMode>(d.u8());
-    p.handlerLen = d.u32();
-    p.scale = d.f64();
-    p.seed = d.u64();
-    p.l1SizeBytes = d.u64();
-    p.l1Assoc = d.u32();
-    p.l2SizeBytes = d.u64();
-    p.l2Assoc = d.u32();
-    p.l2Latency = d.u64();
-    p.memLatency = d.u64();
-    p.mshrs = d.u32();
-    p.sample = d.str();
-    return p;
-}
-
-/** Rethrow container decode errors as protocol (WorkerLost) errors. */
-template <typename Fn>
-auto
-decodePayload(const char *what, Fn &&fn)
-{
-    try {
-        return fn();
-    } catch (const SimException &e) {
-        throw SimException(
-            SimError{ErrCode::WorkerLost,
-                     simFormat("farm protocol: bad %s payload", what),
-                     {e.error().message}});
-    }
-}
-
-} // anonymous namespace
 
 std::uint64_t
 authDigest(const std::string &token, std::uint64_t nonce)
@@ -275,28 +203,23 @@ authDigest(const std::string &token, std::uint64_t nonce)
 std::vector<std::uint8_t>
 encodeChallenge(const ChallengeMsg &msg)
 {
-    Serializer s;
-    s.beginSection("challenge");
-    s.u32(msg.protoVersion);
-    s.u32(msg.schemaVersion);
-    s.u64(msg.nonce);
-    s.str(msg.runId);
-    s.endSection();
-    return s.finish();
+    return encodeSection("challenge", [&](Serializer &s) {
+        s.u32(msg.protoVersion);
+        s.u32(msg.schemaVersion);
+        s.u64(msg.nonce);
+        s.str(msg.runId);
+    });
 }
 
 ChallengeMsg
 decodeChallenge(const std::vector<std::uint8_t> &payload)
 {
-    return decodePayload("challenge", [&] {
-        Deserializer d(payload);
-        d.openSection("challenge");
+    return decodeSection("challenge", payload, [](Deserializer &d) {
         ChallengeMsg msg;
         msg.protoVersion = d.u32();
         msg.schemaVersion = d.u32();
         msg.nonce = d.u64();
         msg.runId = d.str();
-        d.closeSection();
         return msg;
     });
 }
@@ -304,66 +227,21 @@ decodeChallenge(const std::vector<std::uint8_t> &payload)
 std::vector<std::uint8_t>
 encodeHello(const HelloMsg &msg)
 {
-    Serializer s;
-    s.beginSection("hello");
-    s.u32(msg.protoVersion);
-    s.u32(msg.schemaVersion);
-    s.u64(msg.response);
-    s.endSection();
-    return s.finish();
+    return encodeSection("hello", [&](Serializer &s) {
+        s.u32(msg.protoVersion);
+        s.u32(msg.schemaVersion);
+        s.u64(msg.response);
+    });
 }
 
 HelloMsg
 decodeHello(const std::vector<std::uint8_t> &payload)
 {
-    return decodePayload("hello", [&] {
-        Deserializer d(payload);
-        d.openSection("hello");
+    return decodeSection("hello", payload, [](Deserializer &d) {
         HelloMsg msg;
         msg.protoVersion = d.u32();
         msg.schemaVersion = d.u32();
         msg.response = d.u64();
-        d.closeSection();
-        return msg;
-    });
-}
-
-std::vector<std::uint8_t>
-encodeLease(const LeaseMsg &msg)
-{
-    Serializer s;
-    s.beginSection("lease");
-    s.u64(msg.slot);
-    savePoint(s, msg.point);
-    s.u64(msg.windowIndex);
-    s.u64(msg.libraryHash);
-    s.vecU8(msg.warmImage);
-    s.vecU8(msg.execImage);
-    s.u32(static_cast<std::uint32_t>(msg.groupPoints.size()));
-    for (const sweep::SweepPoint &p : msg.groupPoints)
-        savePoint(s, p);
-    s.endSection();
-    return s.finish();
-}
-
-LeaseMsg
-decodeLease(const std::vector<std::uint8_t> &payload)
-{
-    return decodePayload("lease", [&] {
-        Deserializer d(payload);
-        d.openSection("lease");
-        LeaseMsg msg;
-        msg.slot = d.u64();
-        msg.point = restorePoint(d);
-        msg.windowIndex = d.u64();
-        msg.libraryHash = d.u64();
-        msg.warmImage = d.vecU8();
-        msg.execImage = d.vecU8();
-        const std::uint32_t group = d.u32();
-        msg.groupPoints.reserve(group);
-        for (std::uint32_t i = 0; i < group; ++i)
-            msg.groupPoints.push_back(restorePoint(d));
-        d.closeSection();
         return msg;
     });
 }
@@ -371,46 +249,33 @@ decodeLease(const std::vector<std::uint8_t> &payload)
 std::vector<std::uint8_t>
 encodeHeartbeat(std::uint64_t slot)
 {
-    Serializer s;
-    s.beginSection("heartbeat");
-    s.u64(slot);
-    s.endSection();
-    return s.finish();
+    return encodeSection("heartbeat",
+                         [&](Serializer &s) { s.u64(slot); });
 }
 
 std::uint64_t
 decodeHeartbeat(const std::vector<std::uint8_t> &payload)
 {
-    return decodePayload("heartbeat", [&] {
-        Deserializer d(payload);
-        d.openSection("heartbeat");
-        const std::uint64_t slot = d.u64();
-        d.closeSection();
-        return slot;
-    });
+    return decodeSection("heartbeat", payload,
+                         [](Deserializer &d) { return d.u64(); });
 }
 
 std::vector<std::uint8_t>
 encodeResult(const ResultMsg &msg)
 {
-    Serializer s;
-    s.beginSection("result");
-    s.u64(msg.slot);
-    s.vecU8(msg.fragment);
-    s.endSection();
-    return s.finish();
+    return encodeSection("result", [&](Serializer &s) {
+        s.u64(msg.slot);
+        s.vecU8(msg.fragment);
+    });
 }
 
 ResultMsg
 decodeResult(const std::vector<std::uint8_t> &payload)
 {
-    return decodePayload("result", [&] {
-        Deserializer d(payload);
-        d.openSection("result");
+    return decodeSection("result", payload, [](Deserializer &d) {
         ResultMsg msg;
         msg.slot = d.u64();
         msg.fragment = d.vecU8();
-        d.closeSection();
         return msg;
     });
 }
@@ -418,24 +283,20 @@ decodeResult(const std::vector<std::uint8_t> &payload)
 std::vector<std::uint8_t>
 encodeError(const ErrorMsg &msg)
 {
-    Serializer s;
-    s.beginSection("error");
-    s.u64(msg.slot);
-    s.u8(static_cast<std::uint8_t>(msg.error.code));
-    s.str(msg.error.message);
-    s.u32(static_cast<std::uint32_t>(msg.error.context.size()));
-    for (const std::string &note : msg.error.context)
-        s.str(note);
-    s.endSection();
-    return s.finish();
+    return encodeSection("error", [&](Serializer &s) {
+        s.u64(msg.slot);
+        s.u8(static_cast<std::uint8_t>(msg.error.code));
+        s.str(msg.error.message);
+        s.u32(static_cast<std::uint32_t>(msg.error.context.size()));
+        for (const std::string &note : msg.error.context)
+            s.str(note);
+    });
 }
 
 ErrorMsg
 decodeError(const std::vector<std::uint8_t> &payload)
 {
-    return decodePayload("error", [&] {
-        Deserializer d(payload);
-        d.openSection("error");
+    return decodeSection("error", payload, [](Deserializer &d) {
         ErrorMsg msg;
         msg.slot = d.u64();
         const std::uint8_t code = d.u8();
@@ -451,7 +312,6 @@ decodeError(const std::vector<std::uint8_t> &payload)
         const std::uint32_t notes = d.u32();
         for (std::uint32_t i = 0; i < notes; ++i)
             msg.error.context.push_back(d.str());
-        d.closeSection();
         return msg;
     });
 }
@@ -459,28 +319,25 @@ decodeError(const std::vector<std::uint8_t> &payload)
 std::vector<std::uint8_t>
 encodeStats(const StatsMsg &msg)
 {
-    Serializer s;
-    s.beginSection("stats");
-    s.u64(msg.slot);
-    s.u64(msg.simulateMs);
-    s.u64(msg.serializeMs);
-    s.str(msg.statsJson);
-    s.endSection();
-    return s.finish();
+    return encodeSection("stats", [&](Serializer &s) {
+        s.u64(msg.slot);
+        s.u64(msg.simulateMs);
+        s.u64(msg.serializeMs);
+        s.u64(msg.cycles);
+        s.u64(msg.instructions);
+    });
 }
 
 StatsMsg
 decodeStats(const std::vector<std::uint8_t> &payload)
 {
-    return decodePayload("stats", [&] {
-        Deserializer d(payload);
-        d.openSection("stats");
+    return decodeSection("stats", payload, [](Deserializer &d) {
         StatsMsg msg;
         msg.slot = d.u64();
         msg.simulateMs = d.u64();
         msg.serializeMs = d.u64();
-        msg.statsJson = d.str();
-        d.closeSection();
+        msg.cycles = d.u64();
+        msg.instructions = d.u64();
         return msg;
     });
 }
@@ -489,27 +346,22 @@ std::vector<std::uint8_t>
 encodeFragmentBundle(
     const std::vector<std::vector<std::uint8_t>> &fragments)
 {
-    Serializer s;
-    s.beginSection("bundle");
-    s.u32(static_cast<std::uint32_t>(fragments.size()));
-    for (const std::vector<std::uint8_t> &f : fragments)
-        s.vecU8(f);
-    s.endSection();
-    return s.finish();
+    return encodeSection("bundle", [&](Serializer &s) {
+        s.u32(static_cast<std::uint32_t>(fragments.size()));
+        for (const std::vector<std::uint8_t> &f : fragments)
+            s.vecU8(f);
+    });
 }
 
 std::vector<std::vector<std::uint8_t>>
 decodeFragmentBundle(const std::vector<std::uint8_t> &bundle)
 {
-    return decodePayload("bundle", [&] {
-        Deserializer d(bundle);
-        d.openSection("bundle");
+    return decodeSection("bundle", bundle, [](Deserializer &d) {
         const std::uint32_t n = d.u32();
         std::vector<std::vector<std::uint8_t>> fragments;
         fragments.reserve(n);
         for (std::uint32_t i = 0; i < n; ++i)
             fragments.push_back(d.vecU8());
-        d.closeSection();
         return fragments;
     });
 }

@@ -31,38 +31,13 @@ PointKey::hex() const
                      schemaVersion);
 }
 
-namespace
-{
-
-/** The point fields every key digests, in declaration order. */
-void
-mixPoint(Fnv1a &cfg, const sweep::SweepPoint &point)
-{
-    cfg.str(point.machine);
-    cfg.str(point.workload);
-    cfg.u32(static_cast<std::uint32_t>(point.mode));
-    cfg.u32(point.handlerLen);
-    cfg.f64(point.scale);
-    cfg.u64(point.seed);
-    cfg.u64(point.l1SizeBytes);
-    cfg.u32(point.l1Assoc);
-    cfg.u64(point.l2SizeBytes);
-    cfg.u32(point.l2Assoc);
-    cfg.u64(point.l2Latency);
-    cfg.u64(point.memLatency);
-    cfg.u32(point.mshrs);
-    cfg.str(point.sample);
-}
-
-} // anonymous namespace
-
 PointKey
 keyForPoint(const sweep::SweepPoint &point)
 {
     PointKey key;
 
     Fnv1a cfg;
-    mixPoint(cfg, point);
+    writePointFields(cfg, point);
     key.configHash = cfg.value();
 
     // Fingerprint the *instrumented* program: any change to a workload
@@ -70,8 +45,6 @@ keyForPoint(const sweep::SweepPoint &point)
     // address and invalidates cached results for exactly the affected
     // points.
     key.programHash = point.buildProgram().fingerprint();
-
-    key.schemaVersion = sweep::reportSchemaVersion;
     return key;
 }
 
@@ -85,15 +58,13 @@ keyForGroup(const std::vector<sweep::SweepPoint> &members)
     cfg.str("multicache-group"); // domain tag: never aliases a point
     cfg.u64(members.size());
     for (const sweep::SweepPoint &p : members)
-        mixPoint(cfg, p);
+        writePointFields(cfg, p);
     key.configHash = cfg.value();
 
     // Members agree on workload/mode/handlerLen/scale/seed (the
     // multi-cache grouping key), so the shared program fingerprints
     // once for the whole group.
     key.programHash = members.front().buildProgram().fingerprint();
-
-    key.schemaVersion = sweep::reportSchemaVersion;
     return key;
 }
 
@@ -104,11 +75,10 @@ keyForWindow(const sweep::SweepPoint &point, std::uint64_t libraryHash,
     PointKey key;
     Fnv1a cfg;
     cfg.str("window"); // domain tag: never aliases a whole-point key
-    mixPoint(cfg, point);
+    writePointFields(cfg, point);
     cfg.u64(windowIndex);
     key.configHash = cfg.value();
     key.programHash = libraryHash;
-    key.schemaVersion = sweep::reportSchemaVersion;
     return key;
 }
 

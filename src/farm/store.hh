@@ -52,6 +52,29 @@ struct PointKey
     bool operator==(const PointKey &o) const = default;
 };
 
+/** Feed every field of @p point, in declaration order, to @p out (a
+ *  Fnv1a digest or a checkpoint Serializer): the fields every store key
+ *  digests and every lease carries. */
+template <typename Out>
+void
+writePointFields(Out &out, const sweep::SweepPoint &point)
+{
+    out.str(point.machine);
+    out.str(point.workload);
+    out.u32(static_cast<std::uint32_t>(point.mode));
+    out.u32(point.handlerLen);
+    out.f64(point.scale);
+    out.u64(point.seed);
+    out.u64(point.l1SizeBytes);
+    out.u32(point.l1Assoc);
+    out.u64(point.l2SizeBytes);
+    out.u32(point.l2Assoc);
+    out.u64(point.l2Latency);
+    out.u64(point.memLatency);
+    out.u32(point.mshrs);
+    out.str(point.sample);
+}
+
 /**
  * Compute the content address of @p point. Builds and instruments the
  * point's program to fingerprint the actual instruction stream; the

@@ -4,8 +4,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "common/json.hh"
-#include "common/manifest.hh"
 #include "obs/trace.hh"
 
 namespace imo::farm
@@ -36,8 +34,6 @@ FarmTelemetry::FarmTelemetry(const FarmOptions &opt,
                      "worker fragment serialize time per point"),
       _storePut("store_put_ms", "result-store put time per record")
 {
-    if (_runId.empty())
-        _runId = manifest::makeRunId("imo-farm");
 }
 
 void
@@ -100,11 +96,10 @@ FarmTelemetry::noteEnqueue(std::size_t slot, std::uint64_t now)
 
 void
 FarmTelemetry::noteRetry(std::size_t slot, unsigned attempts,
-                         std::uint64_t backoff_ms, std::uint64_t now)
+                         std::uint64_t now)
 {
     emit(static_cast<std::uint32_t>(obs::Cat::Farm), "retry", rel(now),
          0, slot, attempts, 0);
-    (void)backoff_ms;
 }
 
 void
@@ -147,16 +142,8 @@ FarmTelemetry::noteWorkerStats(std::size_t slot, const StatsMsg &msg,
     s.rec.serializeMs = msg.serializeMs;
     _simulateWall.sample(static_cast<double>(msg.simulateMs));
     _serializeWall.sample(static_cast<double>(msg.serializeMs));
-    if (!msg.statsJson.empty()) {
-        json::Value v;
-        std::string err;
-        if (json::parse(msg.statsJson, v, err)) {
-            if (const json::Value *c = v.find("cycles"))
-                _workerCycles += c->asUint();
-            if (const json::Value *i = v.find("instructions"))
-                _workerInstructions += i->asUint();
-        }
-    }
+    _workerCycles += msg.cycles;
+    _workerInstructions += msg.instructions;
 }
 
 void

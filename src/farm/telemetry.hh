@@ -48,9 +48,6 @@ class FarmTelemetry
     /** @p start_ms anchors the run's trace/progress time base. */
     FarmTelemetry(const FarmOptions &opt, std::uint64_t start_ms);
 
-    const std::string &runId() const { return _runId; }
-    std::uint64_t startMs() const { return _t0; }
-
     // --- Slot lifecycle ---------------------------------------------
     void describeSlot(std::size_t slot, std::string key_hex,
                       std::string desc,
@@ -59,7 +56,7 @@ class FarmTelemetry
     void noteStoreHit(std::size_t slot, std::uint64_t now);
     void noteEnqueue(std::size_t slot, std::uint64_t now);
     void noteRetry(std::size_t slot, unsigned attempts,
-                   std::uint64_t backoff_ms, std::uint64_t now);
+                   std::uint64_t now);
     void noteGrant(std::size_t slot, unsigned seat, bool straggler,
                    unsigned attempts, std::uint64_t now);
     void noteWorkerStats(std::size_t slot, const StatsMsg &msg,

@@ -20,24 +20,15 @@ namespace
 {
 
 void
-setNonBlocking(int fd)
+setNonBlocking(int fd, bool on = true)
 {
     const int flags = ::fcntl(fd, F_GETFL);
     sim_throw_if(flags < 0 ||
-                     ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0,
+                     ::fcntl(fd, F_SETFL,
+                             on ? flags | O_NONBLOCK
+                                : flags & ~O_NONBLOCK) < 0,
                  ErrCode::WorkerLost,
-                 "farm transport: cannot set O_NONBLOCK: %s",
-                 std::strerror(errno));
-}
-
-void
-setBlocking(int fd)
-{
-    const int flags = ::fcntl(fd, F_GETFL);
-    sim_throw_if(flags < 0 ||
-                     ::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK) < 0,
-                 ErrCode::WorkerLost,
-                 "farm transport: cannot clear O_NONBLOCK: %s",
+                 "farm transport: cannot set O_NONBLOCK=%d: %s", on,
                  std::strerror(errno));
 }
 
@@ -253,7 +244,7 @@ connectTcp(const std::string &host, std::uint16_t port,
                          host.c_str(), static_cast<unsigned>(port),
                          std::strerror(err));
         }
-        setBlocking(fd);
+        setNonBlocking(fd, false);
         const int one = 1;
         ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     } catch (...) {

@@ -51,7 +51,6 @@ class Transport
 
     int readFd() const { return _rfd; }
     int writeFd() const { return _wfd; }
-    bool isSocket() const { return _socket; }
 
     /**
      * Queue one frame and flush as much as the kernel will take.
@@ -76,9 +75,6 @@ class Transport
 
     /** @return true and fill @p out if a complete frame is buffered. */
     bool nextFrame(Frame *out) { return _parser.next(out); }
-
-    /** @return true if a partial frame is buffered (dirty EOF). */
-    bool midFrame() const { return _parser.midFrame(); }
 
     /** Close both fds (idempotent). */
     void close();
