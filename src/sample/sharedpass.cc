@@ -1,5 +1,7 @@
 #include "sample/sharedpass.hh"
 
+#include <optional>
+
 #include "common/error.hh"
 #include "func/executor.hh"
 #include "memory/multicache.hh"
@@ -42,16 +44,17 @@ class EngineSink final : public func::RefSink
 };
 
 /**
- * Replays one buffered window span, substituting each demand data
- * reference's level with one classification config's outcome. The
- * patched stream is exactly what the member's own executor would have
+ * Replays one buffered window span. With @p levels, each demand data
+ * reference's level is substituted with one classification config's
+ * outcome; without, the records replay unchanged. Either way the
+ * stream is exactly what the member's own executor would have
  * produced, so the timing model cannot tell the difference.
  */
 class PatchedWindowSource final : public func::TraceSource
 {
   public:
     PatchedWindowSource(const std::vector<func::TraceRecord> &records,
-                        const std::vector<std::uint8_t> &levels)
+                        const std::vector<std::uint8_t> *levels)
         : _records(records), _levels(levels)
     {
     }
@@ -62,14 +65,14 @@ class PatchedWindowSource final : public func::TraceSource
         if (_pos >= _records.size())
             return false;
         out = _records[_pos++];
-        if (isa::isDataRef(out.inst.op))
-            out.level = static_cast<MemLevel>(_levels[_ref++]);
+        if (_levels && isa::isDataRef(out.inst.op))
+            out.level = static_cast<MemLevel>((*_levels)[_ref++]);
         return true;
     }
 
   private:
     const std::vector<func::TraceRecord> &_records;
-    const std::vector<std::uint8_t> &_levels;
+    const std::vector<std::uint8_t> *_levels;
     std::size_t _pos = 0;
     std::size_t _ref = 0;
 };
@@ -78,25 +81,30 @@ template <typename Cpu>
 SharedPassResult
 runSharedPassImpl(const isa::Program &program,
                   const std::vector<pipeline::MachineConfig> &members,
-                  const SampleParams &params)
+                  const CacheClasses &classes, const SampleParams &params)
 {
-    const CacheClasses classes = cacheClasses(members);
     const std::vector<std::size_t> &classOf = classes.classOf;
 
-    memory::MultiCacheSim engine(classes.configs);
-    EngineSink sink(engine);
+    std::optional<memory::MultiCacheSim> engine;
+    std::optional<EngineSink> sink;
+    if (classes.configs.size() > 1) {
+        engine.emplace(classes.configs);
+        sink.emplace(*engine);
+    }
 
-    // The executor runs under the first member's geometry; its own
-    // hierarchy outcome is never consumed (levels are patched per
-    // member), it merely keeps the execution semantics identical to a
-    // dedicated pass. The engine observes the stream via the RefSink.
+    // The executor runs under the first member's geometry. With one
+    // cache class that is every member's geometry, so its own records
+    // are fed to each member unchanged. With several, its hierarchy
+    // outcome is never consumed: the engine observes the stream via
+    // the RefSink and each member's levels are patched from its class.
     func::Executor exec(program,
                         func::Executor::Config{
                             .l1 = members[0].l1,
                             .l2 = members[0].l2,
                             .maxInstructions =
                                 members[0].maxInstructions});
-    exec.setRefSink(&sink);
+    if (sink)
+        exec.setRefSink(&*sink);
 
     Cpu accum(members[0]);
     accum.reset();
@@ -125,18 +133,21 @@ runSharedPassImpl(const isa::Program &program,
         // Buffer the window span once through the same tee the
         // dedicated interleaved pass reads its windows from.
         window.clear();
-        engine.beginCapture();
+        if (engine)
+            engine->beginCapture();
         func::TraceRecord rec;
         while (window.size() < W + M && tee.next(rec))
             window.push_back(rec);
-        engine.endCapture();
+        if (engine)
+            engine->endCapture();
         ++res.windows;
 
         // Replay the span once per member on a fresh machine seeded
         // with the shared warm image.
         for (std::size_t m = 0; m < members.size(); ++m) {
             PatchedWindowSource src(
-                window, engine.capturedLevels(classOf[m]));
+                window,
+                engine ? &engine->capturedLevels(classOf[m]) : nullptr);
             res.samples[m].push_back(
                 runWindow<Cpu>(members[m], warm, src, W, M));
         }
@@ -145,20 +156,22 @@ runSharedPassImpl(const isa::Program &program,
             break; // program halted inside the window span
     }
 
-    exec.setRefSink(nullptr);
-    engine.sync(); // settle deferred L2 work before reading counters
-
     const func::ExecStats &es = exec.stats();
+    if (engine) {
+        exec.setRefSink(nullptr);
+        engine->sync(); // settle deferred L2 work before reading counters
+    }
     for (std::size_t m = 0; m < members.size(); ++m) {
         res.totals[m] = CaptureTotals{
             .instructions = es.instructions,
             .dataRefs = es.dataRefs,
-            .l1Misses = engine.l1Misses(classOf[m]),
+            .l1Misses = engine ? engine->l1Misses(classOf[m])
+                               : es.l1Misses,
             .traps = es.traps};
     }
     res.configs = classes.configs.size();
-    res.streamLength = engine.accesses();
-    res.prefetches = engine.prefetches();
+    res.streamLength = es.dataRefs;
+    res.prefetches = es.prefetches;
     return res;
 }
 
@@ -213,11 +226,6 @@ runSharedGeometryPass(const isa::Program &program,
 {
     sim_throw_if(members.empty(), ErrCode::BadConfig,
                  "shared pass: no member configurations");
-    sim_throw_if(!sharedPassEligible(program), ErrCode::BadConfig,
-                 "shared pass: program '%s' contains cache-outcome-"
-                 "dependent operations; its reference stream is not "
-                 "geometry-invariant",
-                 program.name().c_str());
     params.validate();
     for (const pipeline::MachineConfig &cfg : members) {
         cfg.validate();
@@ -227,12 +235,20 @@ runSharedGeometryPass(const isa::Program &program,
                      "shared pass: member machine kinds or instruction "
                      "budgets differ");
     }
+    const CacheClasses classes = cacheClasses(members);
+    sim_throw_if(classes.configs.size() > 1 && !sharedPassEligible(program),
+                 ErrCode::BadConfig,
+                 "shared pass: program '%s' contains cache-outcome-"
+                 "dependent operations and the members span several "
+                 "cache geometries; its reference stream is not "
+                 "geometry-invariant",
+                 program.name().c_str());
 
     if (members[0].outOfOrder)
         return runSharedPassImpl<pipeline::OooCpu>(program, members,
-                                                   params);
+                                                   classes, params);
     return runSharedPassImpl<pipeline::InOrderCpu>(program, members,
-                                                   params);
+                                                   classes, params);
 }
 
 } // namespace imo::sample

@@ -1,33 +1,42 @@
 /**
  * @file
- * One shared functional reference pass serving many cache geometries.
+ * One shared functional reference pass serving many sweep points.
  *
- * A sweep's geometry axis re-runs the same program once per grid point
- * even though the functional instruction stream is identical across
- * points whenever the program contains no cache-outcome-dependent
- * operations (no BRMISS/BRMISS2, no miss traps). This driver runs that
- * stream ONCE: the executor's raw reference stream feeds a
- * memory::MultiCacheSim that classifies every access for every member
- * geometry simultaneously, and at each SMARTS window boundary the
- * buffered window records are replayed through a fresh timing model
- * per member — with each data reference's service level patched to
- * that member's classification — producing exactly the WindowSample a
- * dedicated interleaved pass would have measured.
+ * A sweep re-runs the same program once per grid point even though
+ * the functional instruction stream is often identical across points.
+ * This driver runs that stream ONCE and, at each SMARTS window
+ * boundary, replays the buffered window records through a fresh timing
+ * model per member, producing exactly the WindowSample a dedicated
+ * interleaved pass would have measured. Two kinds of member set are
+ * eligible:
+ *
+ *  - a single cache class (members differ only in timing knobs such as
+ *    memory latency or MSHR count): the executor already runs under
+ *    every member's own geometry, so the buffered records are fed to
+ *    each member unchanged — any program qualifies, informing modes
+ *    included, because the Phase-A trace does not depend on timing;
+ *  - several cache classes over a stream-invariant program (no
+ *    cache-outcome-dependent operations, see sharedPassEligible()): the
+ *    executor's raw reference stream feeds a memory::MultiCacheSim that
+ *    classifies every access for every class simultaneously, and each
+ *    data reference's service level is patched to the member's
+ *    classification before its replay.
  *
  * Byte-identity argument, piece by piece:
  *  - the architectural stream (instructions, addresses, branch
- *    outcomes, halt point) is geometry-invariant for eligible
- *    programs, so fast-forward gaps and window boundaries land on the
+ *    outcomes, traps, halt point) is the same for every member — by
+ *    construction with one cache class, by stream invariance with
+ *    several — so fast-forward gaps and window boundaries land on the
  *    same instructions as any dedicated run;
  *  - the warm accumulator only ever consumes conditional-branch
- *    outcomes, which are stream-invariant, and all members share one
- *    predictor geometry, so the per-boundary warm images are the very
- *    bytes a dedicated pass would build;
+ *    outcomes, which are part of that stream, and all members share
+ *    one predictor geometry, so the per-boundary warm images are the
+ *    very bytes a dedicated pass would build;
  *  - a window's timing model consumes TraceRecords, whose only
- *    geometry-dependent field is `level`; the engine reproduces
- *    FunctionalHierarchy::access exactly (property-tested and
- *    IMO_PARANOID_XCHECK-replayed), so the patched records equal the
- *    records the member's own executor would have produced.
+ *    geometry-dependent field is `level`; with several classes the
+ *    engine reproduces FunctionalHierarchy::access exactly (property-
+ *    tested and IMO_PARANOID_XCHECK-replayed), so the patched records
+ *    equal the records the member's own executor would have produced.
  *
  * Each member window runs through the same runWindow() kernel as
  * every other sampling path, and Sampler::runFromWindowSamples() folds
@@ -78,21 +87,23 @@ struct CacheClasses
 CacheClasses cacheClasses(const std::vector<pipeline::MachineConfig> &members);
 
 /**
- * Is @p program eligible for a shared reference pass? True iff no
+ * Is @p program's reference stream geometry-invariant? True iff no
  * instruction's architectural effect can depend on a cache outcome:
  * the program must contain no BRMISS/BRMISS2 (branch on the miss
  * condition code) and no SETMHAR/SETMHARR/SETMHARPC (a nonzero MHAR
  * arms miss traps, which redirect control flow). Informing-mode
- * instrumented programs fail this; mode-None programs pass.
+ * instrumented programs fail this; mode-None programs pass. Only a
+ * shared pass over several cache classes needs it.
  */
 bool sharedPassEligible(const isa::Program &program);
 
 /**
  * Run the shared pass. All @p members must share the machine kind,
  * predictor geometry and instruction budget (they are grid points
- * differing in cache geometry and timing knobs only) and @p program
- * must be sharedPassEligible(); throws SimException(BadConfig)
- * otherwise. Deterministic: a pure function of the arguments.
+ * differing in cache geometry and timing knobs only), and either fall
+ * in one cacheClasses() class or run a sharedPassEligible() @p program;
+ * throws SimException(BadConfig) otherwise. Deterministic: a pure
+ * function of the arguments.
  */
 SharedPassResult
 runSharedGeometryPass(const isa::Program &program,

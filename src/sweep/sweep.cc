@@ -146,20 +146,6 @@ runPoint(const SweepPoint &point,
 namespace
 {
 
-/** Grouping key for library sharing: every input the capture pass
- *  depends on. Points with equal keys can replay one library. */
-std::string
-libraryKey(const SweepPoint &p)
-{
-    return simFormat(
-        "%s|%s|%s|%u|%.17g|%llu|%s|%016llx", p.machine.c_str(),
-        p.workload.c_str(), core::informingModeName(p.mode),
-        p.handlerLen, p.scale,
-        static_cast<unsigned long long>(p.seed), p.sample.c_str(),
-        static_cast<unsigned long long>(
-            sample::captureDigest(p.resolveConfig())));
-}
-
 /** Grouping key for multi-cache shared passes: every non-geometry
  *  input. Points with equal keys can share one reference stream. */
 std::string
@@ -170,6 +156,17 @@ multiCacheKey(const SweepPoint &p)
                      core::informingModeName(p.mode), p.handlerLen,
                      p.scale, static_cast<unsigned long long>(p.seed),
                      p.sample.c_str());
+}
+
+/** Grouping key for capture sharing: every input the functional pass
+ *  depends on, so equal keys mean one program, one schedule and one
+ *  cache class — any program can share a pass then. */
+std::string
+libraryKey(const SweepPoint &p)
+{
+    return simFormat("%s|%016llx", multiCacheKey(p).c_str(),
+                     static_cast<unsigned long long>(
+                         sample::captureDigest(p.resolveConfig())));
 }
 
 } // anonymous namespace
@@ -305,182 +302,142 @@ runSweep(const std::vector<SweepPoint> &points, unsigned jobs,
     // order regardless of scheduling and the report stays
     // byte-identical for any job count.
     std::vector<SweepOutcome> outcomes(points.size());
-    if (completed)
-        completed->assign(points.size(), 0);
+    std::vector<std::uint8_t> ranLocal;
+    std::vector<std::uint8_t> &ran = completed ? *completed : ranLocal;
+    ran.assign(points.size(), 0);
 
-    // Multi-cache plan: each group of geometry-axis points becomes one
-    // shared-pass task.
+    // Group plan: multi-cache groups first (geometry-axis points over a
+    // stream-invariant program), then, among the remaining sampled
+    // points, capture-matching groups (equal libraryKey: one cache
+    // class). Each group becomes one shared-pass task. A supplied
+    // library that matches a capture-matching group serves it by
+    // per-point replay instead.
     constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-    std::vector<std::vector<std::size_t>> mcGroups;
+    std::vector<std::vector<std::size_t>> groups;
+    if (multiCache)
+        groups = planMultiCacheGroups(points);
+    const std::size_t mcCount = groups.size();
     std::vector<std::size_t> groupOf(points.size(), kNone);
-    if (multiCache) {
-        mcGroups = planMultiCacheGroups(points);
-        multiCache->groups.assign(mcGroups.size(), MultiCacheGroup{});
-        for (std::size_t g = 0; g < mcGroups.size(); ++g) {
-            multiCache->groups[g].members = mcGroups[g];
-            for (const std::size_t i : mcGroups[g])
-                groupOf[i] = g;
-        }
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+        for (const std::size_t i : groups[g])
+            groupOf[i] = g;
     }
-
-    // Library-sharing plan over the remaining points: the first point
-    // of each geometry-matching sampled group captures ("leader"), the
-    // rest replay ("follower"); a supplied library turns whole
-    // matching groups into followers. Points served by a multi-cache
-    // group need no functional warming at all, so they opt out.
-    enum class Role : std::uint8_t { Independent, Leader, Follower };
-    constexpr std::size_t kSupplied = static_cast<std::size_t>(-1);
-    std::vector<Role> role(points.size(), Role::Independent);
-    std::vector<std::size_t> leaderOf(points.size(), kSupplied);
-    std::vector<std::shared_ptr<const sample::LivePointLibrary>>
-        capturedLibs(points.size());
+    std::vector<std::uint8_t> fromSupplied(points.size(), 0);
     if (sharing) {
-        std::unordered_map<std::string, std::vector<std::size_t>>
-            groups;
+        std::unordered_map<std::string, std::size_t> slot;
+        std::vector<std::vector<std::size_t>> cands;
         for (std::size_t i = 0; i < points.size(); ++i) {
-            if (!points[i].sample.empty() && groupOf[i] == kNone)
-                groups[libraryKey(points[i])].push_back(i);
+            if (points[i].sample.empty() || groupOf[i] != kNone)
+                continue;
+            const auto [it, fresh] =
+                slot.try_emplace(libraryKey(points[i]), cands.size());
+            if (fresh)
+                cands.emplace_back();
+            cands[it->second].push_back(i);
         }
-        for (const auto &[key, members] : groups) {
-            (void)key;
+        for (std::vector<std::size_t> &members : cands) {
             if (sharing->supplied &&
                 libraryMatchesPoint(*sharing->supplied,
                                     points[members[0]])) {
                 for (const std::size_t i : members)
-                    role[i] = Role::Follower; // leaderOf stays supplied
-                continue;
-            }
-            if (members.size() < 2)
-                continue; // nothing to amortize
-            role[members[0]] = Role::Leader;
-            for (std::size_t m = 1; m < members.size(); ++m) {
-                role[members[m]] = Role::Follower;
-                leaderOf[members[m]] = members[0];
+                    fromSupplied[i] = 1;
+            } else if (members.size() > 1) {
+                for (const std::size_t i : members)
+                    groupOf[i] = groups.size();
+                groups.push_back(std::move(members));
             }
         }
     }
+    std::vector<MultiCacheGroup> provs(groups.size());
+    for (std::size_t g = 0; g < groups.size(); ++g)
+        provs[g].members = groups[g];
 
-    // One task per ungrouped point; leaders retain their capture in
-    // their own slot of capturedLibs (pre-sized, no synchronisation
-    // needed — same discipline as the timing slots).
     const auto makePointTask = [&](std::size_t i) {
-        const SweepPoint &p = points[i];
-        std::shared_ptr<const sample::LivePointLibrary> replay;
-        if (role[i] == Role::Follower) {
-            replay = leaderOf[i] == kSupplied
-                         ? sharing->supplied
-                         : capturedLibs[leaderOf[i]];
-        }
-        std::shared_ptr<const sample::LivePointLibrary> *cap =
-            role[i] == Role::Leader ? &capturedLibs[i] : nullptr;
-        PointTiming *t = timings ? &(*timings)[i] : nullptr;
-        std::uint8_t *done = completed ? completed->data() + i : nullptr;
-        SweepOutcome *out = &outcomes[i];
-        return std::function<int()>(
-            [p, replay, cap, t, done, out, steady_ms] {
-                if (t) {
-                    t->startMs = steady_ms();
-                    t->threadId = std::hash<std::thread::id>{}(
-                        std::this_thread::get_id());
-                }
-                *out = runPoint(p, replay, cap);
-                if (t) {
-                    t->endMs = steady_ms();
-                    t->ran = true;
-                }
-                if (done)
-                    *done = 1;
-                return 0;
-            });
+        return std::function<int()>([&, i] {
+            PointTiming *t = timings ? &(*timings)[i] : nullptr;
+            if (t) {
+                t->startMs = steady_ms();
+                t->threadId = std::hash<std::thread::id>{}(
+                    std::this_thread::get_id());
+            }
+            outcomes[i] = runPoint(
+                points[i], fromSupplied[i] ? sharing->supplied : nullptr,
+                nullptr);
+            if (t) {
+                t->endMs = steady_ms();
+                t->ran = true;
+            }
+            ran[i] = 1;
+            return 0;
+        });
     };
 
-    // One task per multi-cache group. A group whose shared pass is
-    // refused (BadConfig — e.g. the plan was computed for a different
-    // build of the planner) falls back to dedicated per-member runs
-    // inside the same task; anything else (notably an
-    // IMO_PARANOID_XCHECK divergence, ErrCode::Internal) stays loud.
+    // One task per group. A group whose shared pass fails for any
+    // reason but an internal error falls back to dedicated per-member
+    // runs inside the same task, so each member reports exactly what
+    // its own run would (a BadConfig member, say, becomes its error
+    // estimate); ErrCode::Internal — notably an IMO_PARANOID_XCHECK
+    // divergence — stays loud.
     const auto makeGroupTask = [&](std::size_t g) {
-        std::vector<SweepPoint> mem;
-        mem.reserve(mcGroups[g].size());
-        for (const std::size_t i : mcGroups[g])
-            mem.push_back(points[i]);
-        const std::vector<std::size_t> idx = mcGroups[g];
-        MultiCacheGroup *prov = &multiCache->groups[g];
-        return std::function<int()>([&, mem = std::move(mem), idx,
-                                     prov, steady_ms] {
+        return std::function<int()>([&, g] {
             const std::uint64_t t0 = steady_ms();
             const std::uint64_t tid = std::hash<std::thread::id>{}(
                 std::this_thread::get_id());
+            std::vector<SweepPoint> mem;
+            for (const std::size_t i : groups[g])
+                mem.push_back(points[i]);
             std::vector<SweepOutcome> outs;
             try {
-                outs = runPointGroup(mem, prov);
+                outs = runPointGroup(mem, &provs[g]);
             } catch (const SimException &e) {
-                if (e.code() != ErrCode::BadConfig)
+                if (e.code() == ErrCode::Internal)
                     throw;
                 outs.clear();
                 for (const SweepPoint &p : mem)
                     outs.push_back(runPoint(p));
-                prov->shared = false;
+                provs[g].shared = false;
             }
             const std::uint64_t t1 = steady_ms();
-            for (std::size_t k = 0; k < idx.size(); ++k) {
-                outcomes[idx[k]] = std::move(outs[k]);
+            for (std::size_t k = 0; k < groups[g].size(); ++k) {
+                const std::size_t i = groups[g][k];
+                outcomes[i] = std::move(outs[k]);
                 if (timings)
-                    (*timings)[idx[k]] =
-                        PointTiming{t0, t1, tid, true};
-                if (completed)
-                    (*completed)[idx[k]] = 1;
+                    (*timings)[i] = PointTiming{t0, t1, tid, true};
+                ran[i] = 1;
             }
             return 0;
         });
     };
 
-    // Phase 1: group tasks, leaders, and independents in parallel
-    // (captures land in capturedLibs). Phase 2: followers in parallel,
-    // replaying. Group tasks enter the queue where their first member
-    // sits in grid order.
-    std::vector<std::function<int()>> phase1;
-    std::vector<std::uint8_t> groupQueued(mcGroups.size(), 0);
+    // One pool phase: a group task enters the queue where its first
+    // member sits in grid order.
+    std::vector<std::function<int()>> tasks;
     for (std::size_t i = 0; i < points.size(); ++i) {
-        if (groupOf[i] != kNone) {
-            if (!groupQueued[groupOf[i]]) {
-                groupQueued[groupOf[i]] = 1;
-                phase1.emplace_back(makeGroupTask(groupOf[i]));
-            }
-            continue;
-        }
-        if (role[i] != Role::Follower)
-            phase1.emplace_back(makePointTask(i));
+        if (groupOf[i] == kNone)
+            tasks.emplace_back(makePointTask(i));
+        else if (groups[groupOf[i]].front() == i)
+            tasks.emplace_back(makeGroupTask(groupOf[i]));
     }
-    runOrdered(phase1, jobs, cancel);
+    runOrdered(tasks, jobs, cancel);
 
+    // Count what ran: a cancelled or fallen-back pass served nobody.
     if (sharing) {
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            if (capturedLibs[i])
+        for (std::size_t g = mcCount; g < groups.size(); ++g) {
+            if (provs[g].shared) {
                 ++sharing->captured;
+                sharing->reused += groups[g].size() - 1;
+            }
         }
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            if (role[i] != Role::Follower)
-                continue;
-            // A leader that failed (or was cancelled) leaves its
-            // followers libraryless; they fall back to a full run.
-            if (leaderOf[i] == kSupplied || capturedLibs[leaderOf[i]])
-                ++sharing->reused;
-        }
+        for (std::size_t i = 0; i < points.size(); ++i)
+            sharing->reused += fromSupplied[i] && ran[i];
     }
     if (multiCache) {
+        multiCache->groups.assign(provs.begin(), provs.begin() + mcCount);
         for (const MultiCacheGroup &g : multiCache->groups) {
             if (g.shared)
                 multiCache->pointsShared += g.members.size();
         }
     }
-
-    std::vector<std::function<int()>> phase2;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        if (role[i] == Role::Follower)
-            phase2.emplace_back(makePointTask(i));
-    }
-    runOrdered(phase2, jobs, cancel);
     return outcomes;
 }
 

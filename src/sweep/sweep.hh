@@ -136,25 +136,28 @@ bool libraryMatchesPoint(const sample::LivePointLibrary &library,
                          const SweepPoint &point);
 
 /**
- * Live-point library sharing across a sweep (in/out parameter of
- * runSweep). Sampled points whose capture-relevant inputs match —
- * same machine kind, workload, program, sampling schedule, and
+ * Capture sharing across a sweep (in/out parameter of runSweep).
+ * Sampled points whose functional pass is the same — same machine
+ * kind, workload, program, sampling schedule, and
  * sample::captureDigest() (cache geometry, predictor, instruction
  * budget; timing knobs like latencies and MSHR counts deliberately
- * excluded) — share one functional-warming pass: the group's first
- * point captures a library in memory and the rest replay it. A
- * user-supplied library (imo-sweep --sample-library) serves every
- * group it matches without any capture at all. Reports are unaffected:
- * replayed points emit byte-identical JSON.
+ * excluded) — form a capture-matching group that runs as ONE shared
+ * pass (runPointGroup()): the functional pass and its window records
+ * are produced once and replayed through each member's timing model,
+ * informing modes included. A user-supplied library (imo-sweep
+ * --sample-library) instead serves every group it matches by
+ * per-point replay, with no functional pass at all. Reports are
+ * unaffected: shared and replayed points emit byte-identical JSON.
  */
 struct LibrarySharing
 {
     /** Optional pre-captured library to serve matching points from. */
     std::shared_ptr<const sample::LivePointLibrary> supplied;
 
-    // Filled by runSweep():
-    std::uint64_t captured = 0; //!< libraries captured by group leaders
-    std::uint64_t reused = 0;   //!< points replayed from a shared library
+    // Filled by runSweep(), counting only the work that ran:
+    std::uint64_t captured = 0; //!< capture-matching shared passes run
+    std::uint64_t reused = 0;   //!< points served by another's pass or
+                                //!< by the supplied library
 };
 
 /** Provenance of one multi-cache shared pass: which points one
@@ -205,10 +208,11 @@ planMultiCacheGroups(const std::vector<SweepPoint> &points);
  * the reference stream for every member geometry in a single pass, and
  * fold each member's windows into its estimate. @p members must agree
  * on every non-geometry input (the planner's grouping key) — throws
- * SimException(BadConfig) otherwise, or when the program is not
- * eligible; runSweep falls back to dedicated runPoint() calls in that
- * case. Outcomes are byte-identical to runPoint() per member. This is
- * the unit of work a farm worker executes for a group lease.
+ * SimException(BadConfig) otherwise, or when the members span several
+ * cache geometries and the program is not eligible; runSweep falls
+ * back to dedicated runPoint() calls in that case. Outcomes are
+ * byte-identical to runPoint() per member. This is the unit of work a
+ * farm worker executes for a group lease.
  */
 std::vector<SweepOutcome>
 runPointGroup(const std::vector<SweepPoint> &members,
@@ -238,18 +242,18 @@ struct PointTiming
  * written by the task running point i (no cross-task sharing); it must
  * outlive the call.
  *
- * @p sharing (optional) enables live-point library reuse across
- * geometry-matching sampled points: group leaders run first (capturing
- * in memory), then the followers replay in parallel. Output bytes are
- * identical with sharing on or off; only the redundant functional
- * warming disappears.
+ * @p sharing (optional) runs each capture-matching group of sampled
+ * points as one shared-pass task, or replays the supplied library for
+ * the groups it matches (see LibrarySharing).
  *
  * @p multiCache (optional) enables single-pass multi-configuration
- * cache simulation: planMultiCacheGroups() partitions the points, each
- * group runs as ONE task via runPointGroup() (so groups parallelize
- * across the pool like points do), and ungrouped points proceed
- * exactly as before — including library sharing among themselves.
- * Output bytes are identical with multi-cache on or off.
+ * cache simulation: planMultiCacheGroups() partitions the points and
+ * each group runs as one shared-pass task; capture sharing then groups
+ * the points left over.
+ *
+ * All of it runs in one pool phase — a group task queued where its
+ * first member sits in grid order — and output bytes are identical
+ * with sharing and multi-cache on or off.
  */
 std::vector<SweepOutcome> runSweep(
     const std::vector<SweepPoint> &points, unsigned jobs,

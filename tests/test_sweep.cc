@@ -10,6 +10,10 @@
  *    --jobs 1 vs --jobs 4 on a real (small) grid — with and without a
  *    sampled (--samples) axis — and a well-formed report for an empty
  *    grid.
+ *  - Capture sharing: runSweep with LibrarySharing (shared passes per
+ *    capture-matching group, informing modes included, or replay of a
+ *    supplied library) emits the plain sweep's bytes and counts only
+ *    the passes that ran.
  *  - CacheGeometry: the compiled shift/mask fast path agrees with the
  *    reference divide chain on randomized addresses across all legal
  *    shapes, and lineAddrOf() inverts (setIndex, tag) — the dirty-
@@ -29,6 +33,7 @@
 #include "common/error.hh"
 #include "common/json.hh"
 #include "memory/geometry.hh"
+#include "sample/sharedpass.hh"
 #include "sweep/engine.hh"
 #include "sweep/sweep.hh"
 
@@ -275,6 +280,144 @@ TEST(SweepRun, SampledAxisReportByteIdenticalAcrossJobCounts)
     EXPECT_EQ(j1, j4);
     EXPECT_NE(j1.find("\"sample\":\"9973:300:300\""), std::string::npos);
     EXPECT_NE(j1.find("\"cpi_mean\":"), std::string::npos);
+}
+
+// ------------------------------------------------------ capture sharing
+
+/** {hydro2d, compress} x {ooo, inorder} x {N, S, U, CC} x L1 {8, 32 KB}
+ *  x memory latency {50, 100} x MSHRs {4, 8}, sampled: every
+ *  capture-matching group is one (workload, machine, mode, L1) cell
+ *  spread over the four timing-knob points. */
+std::vector<sweep::SweepPoint>
+timingAxisPoints()
+{
+    sweep::SweepGrid grid;
+    grid.machines = {"ooo", "inorder"};
+    grid.workloads = {"hydro2d", "compress"};
+    grid.modes = {core::InformingMode::None,
+                  core::InformingMode::TrapSingle,
+                  core::InformingMode::TrapUnique,
+                  core::InformingMode::CondCode};
+    grid.l1SizesBytes = {8192, 32768};
+    grid.memLatencies = {50, 100};
+    grid.mshrCounts = {4, 8};
+    grid.samples = {"9973:300:300"};
+    grid.scale = 0.1;
+    return sweep::expandGrid(grid);
+}
+
+std::string
+reportOf(const std::vector<sweep::SweepOutcome> &outcomes)
+{
+    std::ostringstream os;
+    sweep::writeReportJson(os, outcomes);
+    return os.str();
+}
+
+TEST(SweepSharing, ByteIdenticalToPlainSweepWithAndWithoutMultiCache)
+{
+    const std::vector<sweep::SweepPoint> points = timingAxisPoints();
+    ASSERT_EQ(points.size(), 128u);
+    const std::string plain = reportOf(sweep::runSweep(points, 4));
+    EXPECT_EQ(plain.find("\"ok\":false"), std::string::npos);
+
+    for (const bool multi : {false, true}) {
+        for (const unsigned jobs : {1u, 4u}) {
+            SCOPED_TRACE(testing::Message()
+                         << "multi-cache=" << multi << " jobs=" << jobs);
+            sweep::LibrarySharing sharing;
+            sweep::MultiCache mc;
+            const std::vector<sweep::SweepOutcome> outs = sweep::runSweep(
+                points, jobs, nullptr, nullptr, nullptr, &sharing,
+                multi ? &mc : nullptr);
+            EXPECT_EQ(reportOf(outs), plain);
+            // 32 (workload, machine, mode, L1) cells of 4 points; with
+            // multi-cache the 4 mode-N (workload, machine) cells of 8
+            // points go to shared geometry passes instead.
+            const std::uint64_t groups = multi ? 24 : 32;
+            EXPECT_EQ(sharing.captured, groups);
+            EXPECT_EQ(sharing.reused, 3 * groups);
+            EXPECT_EQ(mc.groups.size(), multi ? 4u : 0u);
+            EXPECT_EQ(mc.pointsShared, multi ? 32u : 0u);
+        }
+    }
+}
+
+TEST(SweepSharing, SuppliedLibraryServesItsGroupByReplay)
+{
+    const std::vector<sweep::SweepPoint> points = timingAxisPoints();
+    const std::string plain = reportOf(sweep::runSweep(points, 4));
+
+    // Capture on the first point's functional pass: its whole
+    // capture-matching group (4 points) replays the library.
+    std::shared_ptr<const sample::LivePointLibrary> lib;
+    (void)sweep::runPoint(points[0], nullptr, &lib);
+    ASSERT_TRUE(lib);
+    sweep::LibrarySharing sharing;
+    sharing.supplied = lib;
+    const std::vector<sweep::SweepOutcome> outs = sweep::runSweep(
+        points, 4, nullptr, nullptr, nullptr, &sharing);
+    EXPECT_EQ(reportOf(outs), plain);
+    EXPECT_EQ(sharing.captured, 31u);
+    EXPECT_EQ(sharing.reused, 31u * 3 + 4);
+}
+
+TEST(SweepSharing, CountsOnlyWhatRan)
+{
+    // A cancelled sweep runs no pass, so it reuses nothing.
+    const std::vector<sweep::SweepPoint> points = timingAxisPoints();
+    std::shared_ptr<const sample::LivePointLibrary> lib;
+    (void)sweep::runPoint(points[0], nullptr, &lib);
+    sweep::LibrarySharing sharing;
+    sharing.supplied = lib;
+    sweep::MultiCache mc;
+    volatile std::sig_atomic_t cancel = 1;
+    std::vector<std::uint8_t> completed;
+    (void)sweep::runSweep(points, 4, &cancel, &completed, nullptr,
+                          &sharing, &mc);
+    EXPECT_EQ(completed, std::vector<std::uint8_t>(points.size(), 0));
+    EXPECT_EQ(sharing.captured, 0u);
+    EXPECT_EQ(sharing.reused, 0u);
+    EXPECT_EQ(mc.groups.size(), 4u);
+    EXPECT_EQ(mc.pointsShared, 0u);
+}
+
+TEST(SweepSharing, SharedPassTakesInformingProgramsInOneCacheClass)
+{
+    // Timing knobs alone keep one cache class, so an informing-mode
+    // program may share a pass; a second L1 geometry may not.
+    const std::vector<sweep::SweepPoint> points = timingAxisPoints();
+    const sweep::SweepPoint &p0 = points[8]; // ooo hydro2d S, 8 KB
+    ASSERT_EQ(p0.mode, core::InformingMode::TrapSingle);
+    const isa::Program prog = p0.buildProgram();
+    ASSERT_FALSE(sample::sharedPassEligible(prog));
+    const sample::SampleParams params =
+        sample::SampleParams::parse(p0.sample);
+
+    std::vector<pipeline::MachineConfig> cfgs;
+    for (std::size_t m = 0; m < 4; ++m)
+        cfgs.push_back(points[8 + m].resolveConfig());
+    const sample::SharedPassResult shared =
+        sample::runSharedGeometryPass(prog, cfgs, params);
+    EXPECT_EQ(shared.configs, 1u);
+    for (std::size_t m = 0; m < cfgs.size(); ++m) {
+        sample::Sampler dedicated(prog, cfgs[m], params);
+        const sample::SampleEstimate ref = dedicated.run();
+        ASSERT_TRUE(ref.ok) << ref.error.message;
+        EXPECT_GT(ref.traps, 0u);
+        EXPECT_EQ(shared.samples[m], dedicated.windowSamples()) << m;
+        EXPECT_EQ(shared.totals[m].traps, ref.traps) << m;
+        EXPECT_EQ(shared.totals[m].l1Misses, ref.l1Misses) << m;
+    }
+
+    cfgs.push_back(points[12].resolveConfig()); // ooo hydro2d S, 32 KB
+    ASSERT_NE(cfgs.back().l1.sizeBytes, cfgs.front().l1.sizeBytes);
+    try {
+        (void)sample::runSharedGeometryPass(prog, cfgs, params);
+        FAIL() << "expected BadConfig for two cache classes";
+    } catch (const SimException &e) {
+        EXPECT_EQ(e.code(), ErrCode::BadConfig);
+    }
 }
 
 TEST(SweepRun, ReportFragmentEscapesControlCharacters)

@@ -186,9 +186,10 @@ main(int argc, char **argv)
         };
         const std::uint64_t run_start = steady_ms();
 
-        // Live-point library sharing: geometry-matching sampled points
-        // run one functional-warming pass between them (or none at
-        // all, with a supplied library). Report bytes are unaffected.
+        // Capture sharing: sampled points with one program, schedule
+        // and cache geometry run one shared pass between them (or
+        // none at all, with a supplied library). Report bytes are
+        // unaffected.
         sweep::LibrarySharing sharing;
         if (!library_path.empty()) {
             sharing.supplied =
@@ -214,8 +215,8 @@ main(int argc, char **argv)
         }
 
         if (sharing.captured || sharing.reused) {
-            inform("imo-sweep: live-point libraries: %llu captured, "
-                   "%llu points reused",
+            inform("imo-sweep: capture sharing: %llu shared passes, "
+                   "%llu points served without their own pass",
                    static_cast<unsigned long long>(sharing.captured),
                    static_cast<unsigned long long>(sharing.reused));
         }
