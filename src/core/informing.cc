@@ -27,6 +27,12 @@ informingModeName(InformingMode mode)
     return "?";
 }
 
+bool
+handlerLengthShapesProgram(InformingMode mode)
+{
+    return mode != InformingMode::None;
+}
+
 std::uint32_t
 perRefOverheadInsts(InformingMode mode)
 {
@@ -75,7 +81,7 @@ instrument(const Program &base, InformingMode mode,
     const auto &insts = base.insts();
     const InstAddr n = base.size();
 
-    if (mode == InformingMode::None) {
+    if (!handlerLengthShapesProgram(mode)) {
         Program copy = base;
         copy.setName(base.name() + ".N");
         return copy;

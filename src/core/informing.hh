@@ -40,6 +40,13 @@ enum class InformingMode : std::uint8_t
 /** @return a short name: "N", "S", "U", "CC". */
 const char *informingModeName(InformingMode mode);
 
+/**
+ * Does instrument() give @p mode a different program for each handler
+ * length? Mode N appends no handlers, so every valid (nonzero) length
+ * yields the same program.
+ */
+bool handlerLengthShapesProgram(InformingMode mode);
+
 /** Parameters of the generic miss handlers of section 4.2. */
 struct GenericHandlerParams
 {

@@ -592,7 +592,8 @@ class Coordinator
         (void)now;
         const std::uint64_t put_start = nowMs();
         try {
-            _store->put(s.task.key, s.fragment);
+            for (const auto &[key, fragment] : s.task.records(s.fragment))
+                _store->put(key, fragment);
         } catch (const SimException &e) {
             // A write failure only costs memoization; the in-memory
             // fragment still reaches the report.
@@ -931,7 +932,7 @@ runPlan(const FarmOptions &options, const volatile std::sig_atomic_t *stop,
         s.task = std::move(plan.tasks[i]);
         tel.describeSlot(i, s.task.key.hex(), s.task.desc,
                          s.task.groupMembers, s.task.groupConfigs);
-        if (store && store->get(s.task.key, &s.fragment) == StoreGet::Hit) {
+        if (store && s.task.fromStore(*store, &s.fragment)) {
             s.done = true;
             ++res.stats.storeHits;
             tel.noteStoreHit(i, nowMs());
@@ -948,7 +949,8 @@ runPlan(const FarmOptions &options, const volatile std::sig_atomic_t *stop,
         // the report ships; a record the fault injector rotted (or a
         // foreign writer damaged) is repaired from memory.
         for (const Slot &s : slots)
-            store->verifyOrRepair(s.task.key, s.fragment);
+            for (const auto &[key, fragment] : s.task.records(s.fragment))
+                store->verifyOrRepair(key, fragment);
     }
     if (store)
         res.stats.storeCorrupt = store->corruptRecords();

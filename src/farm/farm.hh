@@ -8,8 +8,9 @@
  * framed protocol in proto.hh is identical on both — under a leasing
  * discipline:
  *
- *  - Points with identical content addresses (store.hh) collapse into
- *    one *slot*; overlapping grids are simulated once.
+ *  - Points that run one simulation (sweep::simulationKey) collapse
+ *    into one *slot*; overlapping grids and twins are simulated once,
+ *    and every point keeps its own content address (store.hh).
  *  - A slot is leased to a worker with a deadline. Heartbeats refresh
  *    the deadline while the worker makes progress; a worker that
  *    crashes (EOF), stalls (deadline passes), or drops its result is
@@ -150,7 +151,7 @@ struct FarmOptions
 struct FarmStats
 {
     std::uint64_t points = 0;       //!< grid points requested
-    std::uint64_t uniqueSlots = 0;  //!< distinct content addresses
+    std::uint64_t uniqueSlots = 0;  //!< distinct simulations planned
     std::uint64_t storeHits = 0;    //!< slots served from the store
     std::uint64_t simulated = 0;    //!< slots simulated by workers
     std::uint64_t retries = 0;      //!< slot re-queues after a failure

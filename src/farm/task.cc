@@ -1,5 +1,6 @@
 #include "farm/task.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <iterator>
 #include <map>
@@ -55,6 +56,30 @@ pointBytes(const sweep::SweepPoint &p)
     const std::vector<std::uint8_t> bytes = encodeSection(
         "point", [&](Serializer &s) { writePointFields(s, p); });
     return std::string(bytes.begin(), bytes.end());
+}
+
+/** @p fragment, rendered for @p from, re-rendered for its twin @p to
+ *  by swapping the report head (sweep::writePointHead()); nullopt when
+ *  the fragment does not open with @p from's head. */
+std::optional<Fragment>
+reheadFragment(const Fragment &fragment, const sweep::SweepPoint &from,
+               const sweep::SweepPoint &to)
+{
+    std::ostringstream head;
+    sweep::writePointHead(head, from);
+    const std::string old_head = head.str();
+    if (fragment.size() < old_head.size() ||
+        !std::equal(old_head.begin(), old_head.end(), fragment.begin()))
+        return std::nullopt;
+    if (from == to)
+        return fragment;
+    head.str("");
+    sweep::writePointHead(head, to);
+    const std::string new_head = head.str();
+    Fragment out(new_head.begin(), new_head.end());
+    out.insert(out.end(), fragment.begin() + old_head.size(),
+               fragment.end());
+    return out;
 }
 
 Fragment
@@ -125,6 +150,41 @@ Task::lease(std::uint64_t slot) const
       }
     }
     return msg;
+}
+
+bool
+Task::fromStore(ResultStore &store, Fragment *lead) const
+{
+    if (kind != TaskKind::Point)
+        return store.get(key, lead) == StoreGet::Hit;
+    for (std::size_t m = 0; m < points.size(); ++m) {
+        Fragment record;
+        if (store.get(m == 0 ? key : twinKeys[m - 1], &record) !=
+            StoreGet::Hit)
+            continue;
+        if (std::optional<Fragment> f =
+                reheadFragment(record, points[m], points.front())) {
+            *lead = std::move(*f);
+            return true;
+        }
+    }
+    return false;
+}
+
+std::vector<std::pair<PointKey, Fragment>>
+Task::records(const Fragment &lead) const
+{
+    std::vector<std::pair<PointKey, Fragment>> out = {{key, lead}};
+    if (kind != TaskKind::Point)
+        return out;
+    // A lead fragment without its own head (worker garbage) gets no
+    // twin records; the plan's assembly then fails the run.
+    for (std::size_t m = 1; m < points.size(); ++m) {
+        if (std::optional<Fragment> f =
+                reheadFragment(lead, points.front(), points[m]))
+            out.emplace_back(twinKeys[m - 1], std::move(*f));
+    }
+    return out;
 }
 
 std::vector<std::uint8_t>
@@ -260,49 +320,71 @@ planPoints(const std::vector<sweep::SweepPoint> &points, bool multiCache,
         groups = sweep::planMultiCacheGroups(points);
     plan.stats.multiCacheGroups = groups.size();
 
-    // Where each input point's fragment comes from: the whole fragment
-    // of a Point task, or one member of a Group task's bundle.
-    constexpr std::size_t whole = ~static_cast<std::size_t>(0);
+    // Where each input point's fragment comes from: one member of a
+    // Point task (the lead's fragment, re-headed for a twin) or of a
+    // Group task's bundle.
     struct Source
     {
         std::size_t task = 0;
-        std::size_t member = whole;
+        std::size_t member = 0;
     };
     std::vector<Source> source(points.size());
+    std::vector<std::uint8_t> grouped(points.size(), 0);
     for (const std::vector<std::size_t> &g : groups)
-        for (std::size_t m = 0; m < g.size(); ++m)
-            source[g[m]].member = m;
+        for (const std::size_t i : g)
+            grouped[i] = 1;
 
-    // Identical points share one task (every key digests exactly the
-    // point's fields, so equal points are exactly the ones that share a
-    // store record).
+    // One Point task per simulation: identical points and twins (equal
+    // simulationKey) share it, each distinct point keeping its own
+    // store key. A point whose simulation key cannot be derived (an
+    // unknown machine) gets a task of its own and fails on its worker.
     std::vector<std::function<PointKey()>> keying;
-    std::map<std::string, std::size_t> by_point;
+    std::vector<Source> keyed; //!< the task member each key belongs to
+    std::map<std::string, std::size_t> by_sim;
     for (std::size_t i = 0; i < points.size(); ++i) {
-        if (source[i].member != whole)
+        if (grouped[i])
             continue; // served by its group's task
-        const auto [it, inserted] =
-            by_point.emplace(pointBytes(points[i]), plan.tasks.size());
+        std::string sim;
+        try {
+            sim = sweep::simulationKey(points[i]);
+        } catch (const SimException &) {
+            sim = "point:" + pointBytes(points[i]);
+        }
+        const auto [it, inserted] = by_sim.emplace(sim, plan.tasks.size());
         if (inserted) {
             Task &t = plan.tasks.emplace_back();
             t.desc = sweep::describePoint(points[i]);
-            t.points = {points[i]};
-            keying.emplace_back([&p = points[i]] { return keyForPoint(p); });
         }
-        source[i].task = it->second;
+        std::vector<sweep::SweepPoint> &set = plan.tasks[it->second].points;
+        const std::size_t m = static_cast<std::size_t>(
+            std::find(set.begin(), set.end(), points[i]) - set.begin());
+        if (m == set.size()) {
+            set.push_back(points[i]);
+            keying.emplace_back([&p = points[i]] { return keyForPoint(p); });
+            keyed.push_back({it->second, m});
+        }
+        source[i] = {it->second, m};
+    }
+    std::vector<std::vector<sweep::SweepPoint>> twin_sets;
+    for (Task &t : plan.tasks) {
+        t.twinKeys.resize(t.points.size() - 1);
+        twin_sets.push_back(t.points.size() > 1
+                                ? t.points
+                                : std::vector<sweep::SweepPoint>{});
     }
     std::vector<std::size_t> bundle_size(plan.tasks.size(), 0);
     for (const std::vector<std::size_t> &g : groups) {
         keying.emplace_back([&plan, t = plan.tasks.size()] {
             return keyForGroup(plan.tasks[t].points);
         });
+        keyed.push_back({plan.tasks.size(), 0});
         Task &t = plan.tasks.emplace_back();
         t.kind = TaskKind::Group;
         std::vector<pipeline::MachineConfig> configs;
-        for (const std::size_t i : g) {
-            t.points.push_back(points[i]);
-            configs.push_back(points[i].resolveConfig());
-            source[i].task = plan.tasks.size() - 1;
+        for (std::size_t m = 0; m < g.size(); ++m) {
+            t.points.push_back(points[g[m]]);
+            configs.push_back(points[g[m]].resolveConfig());
+            source[g[m]] = {plan.tasks.size() - 1, m};
         }
         // Same class count the shared pass derives, so the manifest's
         // "configs" means one thing farm-wide.
@@ -313,6 +395,7 @@ planPoints(const std::vector<sweep::SweepPoint> &points, bool multiCache,
                            static_cast<unsigned long long>(t.groupConfigs),
                            sweep::describePoint(t.points.front()).c_str());
         bundle_size.push_back(g.size());
+        twin_sets.emplace_back();
         plan.stats.pointsGrouped += g.size();
     }
 
@@ -323,11 +406,15 @@ planPoints(const std::vector<sweep::SweepPoint> &points, bool multiCache,
     // and every forked worker would inherit it.
     const std::vector<PointKey> keys =
         sweep::runOrdered(keying, std::max(1u, jobs));
-    for (std::size_t t = 0; t < keys.size(); ++t)
-        plan.tasks[t].key = keys[t];
+    for (std::size_t k = 0; k < keys.size(); ++k) {
+        Task &t = plan.tasks[keyed[k].task];
+        (keyed[k].member == 0 ? t.key : t.twinKeys[keyed[k].member - 1]) =
+            keys[k];
+    }
 
     plan.assemble = [source = std::move(source),
-                     bundle_size = std::move(bundle_size)](
+                     bundle_size = std::move(bundle_size),
+                     twin_sets = std::move(twin_sets)](
                         const std::vector<Fragment> &done) {
         // Split every group bundle back into member fragments,
         // validating the member count against the plan (a short bundle
@@ -345,9 +432,23 @@ planPoints(const std::vector<sweep::SweepPoint> &points, bool multiCache,
         }
         std::vector<Fragment> out;
         out.reserve(source.size());
-        for (const Source &s : source)
-            out.push_back(s.member == whole ? done[s.task]
-                                            : split[s.task][s.member]);
+        for (const Source &s : source) {
+            if (bundle_size[s.task] != 0) {
+                out.push_back(split[s.task][s.member]);
+            } else if (s.member == 0) {
+                out.push_back(done[s.task]);
+            } else {
+                const std::vector<sweep::SweepPoint> &set =
+                    twin_sets[s.task];
+                std::optional<Fragment> f = reheadFragment(
+                    done[s.task], set.front(), set[s.member]);
+                sim_throw_if(!f, ErrCode::WorkerLost,
+                             "farm: a fragment does not open with its "
+                             "point's report head (%s)",
+                             sweep::describePoint(set.front()).c_str());
+                out.push_back(std::move(*f));
+            }
+        }
         return out;
     };
     return plan;

@@ -12,12 +12,16 @@
  *   Group   keyForGroup()   the other members      fragment bundle
  *   Window  keyForWindow()  the window's images    WindowSample encoding
  *
+ * A Point task also serves its lead point's twins (points whose
+ * simulation is the same): each twin keeps its own store key, and its
+ * fragment is the lead's with the report head swapped.
+ *
  * A planner turns a request into tasks plus the post-run assembly that
  * turns their fragments into report fragments: planPoints() splits
- * every group bundle back into member fragments, planWindows() folds
- * the window samples into the point's estimate. The coordinator and
- * the worker session only move tasks, leases and fragments; neither
- * branches on the kind.
+ * every group bundle back into member fragments and re-heads twins'
+ * fragments, planWindows() folds the window samples into the point's
+ * estimate. The coordinator and the worker session only move tasks,
+ * leases, fragments and store records; neither branches on the kind.
  */
 
 #ifndef IMO_FARM_TASK_HH
@@ -28,6 +32,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "farm/farm.hh"
@@ -55,10 +60,14 @@ struct Task
     PointKey key;
     std::string desc; //!< for logs, errors and the manifest
 
-    /** The points the task simulates: the point itself, a group's
-     *  members in plan order, or the sampled point a window belongs
-     *  to. The first is the lease's lead point. */
+    /** The points the task simulates: a point and its twins (equal
+     *  sweep::simulationKey(), in request order), a group's members in
+     *  plan order, or the sampled point a window belongs to. The first
+     *  is the lease's lead point. */
     std::vector<sweep::SweepPoint> points;
+
+    /** Point: the store keys of the lead's twins, points[1..]. */
+    std::vector<PointKey> twinKeys;
 
     /** Manifest provenance of a group: members and distinct (L1, L2)
      *  cache classes; zero for the other kinds. */
@@ -73,6 +82,22 @@ struct Task
 
     /** The lease that runs this task in slot @p slot. */
     LeaseMsg lease(std::uint64_t slot) const;
+
+    /**
+     * Serve the task from @p store: true, with the lead's fragment in
+     * @p lead, when a valid record lies under any of its keys. A
+     * Point record must open with its own point's report head
+     * (sweep::writePointHead()); it is re-headed for the lead. A
+     * record whose head does not match serves nothing, so the task is
+     * leased instead.
+     */
+    bool fromStore(ResultStore &store, Fragment *lead) const;
+
+    /** The (key, fragment) records a finished task leaves in the
+     *  store: @p lead under its key and, for a Point task, each twin's
+     *  re-headed fragment under the twin's key. */
+    std::vector<std::pair<PointKey, Fragment>>
+    records(const Fragment &lead) const;
 };
 
 /** A farm run's work: the unique tasks to lease, in slot order, and how
@@ -92,11 +117,12 @@ struct TaskPlan
 };
 
 /**
- * Plan @p points: identical points collapse into one Point task, and
- * with @p multiCache every multi-cache group (sweep::
- * planMultiCacheGroups()) becomes one Group task. The store keys are
- * computed on @p jobs threads. A pure function of the arguments, so a
- * resumed farm derives identical tasks and keys.
+ * Plan @p points: with @p multiCache every multi-cache group (sweep::
+ * planMultiCacheGroups()) becomes one Group task, and every other
+ * point joins the one Point task of its sweep::simulationKey(), so
+ * identical points and twins run once. The store keys are computed on
+ * @p jobs threads. A pure function of the arguments, so a resumed farm
+ * derives identical tasks and keys.
  */
 TaskPlan planPoints(const std::vector<sweep::SweepPoint> &points,
                     bool multiCache, unsigned jobs);

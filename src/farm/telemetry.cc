@@ -348,7 +348,8 @@ FarmTelemetry::dumpStats(const FarmStats &totals,
     const FarmStats t = totals;
     root.make<stats::Value>("points", "grid points requested",
                             [t] { return t.points; });
-    root.make<stats::Value>("unique_slots", "distinct content addresses",
+    root.make<stats::Value>("unique_slots",
+                            "distinct simulations planned",
                             [t] { return t.uniqueSlots; });
     root.make<stats::Value>("store_hits",
                             "slots served from the memoized store",

@@ -57,6 +57,40 @@ SweepPoint::buildProgram() const
                             {.length = handlerLen});
 }
 
+std::string
+simulationKey(const SweepPoint &p)
+{
+    // Raw field bytes, strings length-prefixed: runSweep keys every
+    // point before the first one starts, so formatting text here would
+    // show in set-up time.
+    const pipeline::MachineConfig cfg = p.resolveConfig();
+    std::string key;
+    const auto num = [&key](auto v) {
+        key.append(reinterpret_cast<const char *>(&v), sizeof v);
+    };
+    const auto str = [&key, &num](const std::string &v) {
+        num(v.size());
+        key += v;
+    };
+    str(p.machine);
+    num(cfg.l1.sizeBytes);
+    num(cfg.l1.assoc);
+    num(cfg.l2.sizeBytes);
+    num(cfg.l2.assoc);
+    num(cfg.mem.l2Latency);
+    num(cfg.mem.memLatency);
+    num(cfg.mem.mshrs);
+    str(p.workload);
+    num(p.scale);
+    num(p.seed);
+    num(p.mode);
+    num(core::handlerLengthShapesProgram(p.mode)
+            ? p.handlerLen
+            : static_cast<std::uint32_t>(p.handlerLen != 0));
+    str(p.sample);
+    return key;
+}
+
 std::vector<SweepPoint>
 expandGrid(const SweepGrid &grid)
 {
@@ -306,6 +340,27 @@ runSweep(const std::vector<SweepPoint> &points, unsigned jobs,
     std::vector<std::uint8_t> &ran = completed ? *completed : ranLocal;
     ran.assign(points.size(), 0);
 
+    // Twin plan: points with one simulationKey share one run, led by
+    // the first of them in grid order. A point whose key cannot be
+    // derived (an unknown machine) leads itself and fails in its own
+    // task, as it would unshared. Only leaders are planned below.
+    std::vector<std::size_t> leaderOf(points.size());
+    std::vector<std::size_t> leaders;
+    {
+        std::unordered_map<std::string, std::size_t> first;
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            leaderOf[i] = i;
+            try {
+                leaderOf[i] =
+                    first.try_emplace(simulationKey(points[i]), i)
+                        .first->second;
+            } catch (const SimException &) {
+            }
+            if (leaderOf[i] == i)
+                leaders.push_back(i);
+        }
+    }
+
     // Group plan: multi-cache groups first (geometry-axis points over a
     // stream-invariant program), then, among the remaining sampled
     // points, capture-matching groups (equal libraryKey: one cache
@@ -314,8 +369,15 @@ runSweep(const std::vector<SweepPoint> &points, unsigned jobs,
     // per-point replay instead.
     constexpr std::size_t kNone = static_cast<std::size_t>(-1);
     std::vector<std::vector<std::size_t>> groups;
-    if (multiCache)
-        groups = planMultiCacheGroups(points);
+    if (multiCache) {
+        std::vector<SweepPoint> leading;
+        for (const std::size_t i : leaders)
+            leading.push_back(points[i]);
+        groups = planMultiCacheGroups(leading);
+        for (std::vector<std::size_t> &g : groups)
+            for (std::size_t &m : g)
+                m = leaders[m];
+    }
     const std::size_t mcCount = groups.size();
     std::vector<std::size_t> groupOf(points.size(), kNone);
     for (std::size_t g = 0; g < groups.size(); ++g) {
@@ -326,7 +388,7 @@ runSweep(const std::vector<SweepPoint> &points, unsigned jobs,
     if (sharing) {
         std::unordered_map<std::string, std::size_t> slot;
         std::vector<std::vector<std::size_t>> cands;
-        for (std::size_t i = 0; i < points.size(); ++i) {
+        for (const std::size_t i : leaders) {
             if (points[i].sample.empty() || groupOf[i] != kNone)
                 continue;
             const auto [it, fresh] =
@@ -412,13 +474,25 @@ runSweep(const std::vector<SweepPoint> &points, unsigned jobs,
     // One pool phase: a group task enters the queue where its first
     // member sits in grid order.
     std::vector<std::function<int()>> tasks;
-    for (std::size_t i = 0; i < points.size(); ++i) {
+    for (const std::size_t i : leaders) {
         if (groupOf[i] == kNone)
             tasks.emplace_back(makePointTask(i));
         else if (groups[groupOf[i]].front() == i)
             tasks.emplace_back(makeGroupTask(groupOf[i]));
     }
     runOrdered(tasks, jobs, cancel);
+
+    // Each twin of a leader that ran takes its outcome and timing.
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const std::size_t lead = leaderOf[i];
+        if (lead == i || !ran[lead])
+            continue;
+        outcomes[i] = outcomes[lead];
+        outcomes[i].point = points[i];
+        if (timings)
+            (*timings)[i] = (*timings)[lead];
+        ran[i] = 1;
+    }
 
     // Count what ran: a cancelled or fallen-back pass served nobody.
     if (sharing) {
@@ -445,78 +519,80 @@ const char *const reportJsonPrefix = "{\"sweep\":{\"points\":[";
 const char *const reportJsonSuffix = "]}}\n";
 
 void
+writePointHead(std::ostream &os, const SweepPoint &p)
+{
+    const pipeline::MachineConfig cfg = p.resolveConfig();
+    os << "{\"machine\":\"";
+    os << stats::jsonEscape(cfg.name);
+    os << "\",\"workload\":\"";
+    os << stats::jsonEscape(p.workload);
+    os << "\",\"mode\":\"" << core::informingModeName(p.mode)
+       << "\",\"handler_len\":" << p.handlerLen
+       << ",\"scale\":" << p.scale
+       << ",\"seed\":" << p.seed
+       << ",\"l1_bytes\":" << cfg.l1.sizeBytes
+       << ",\"l1_assoc\":" << cfg.l1.assoc
+       << ",\"l2_bytes\":" << cfg.l2.sizeBytes
+       << ",\"l2_assoc\":" << cfg.l2.assoc
+       << ",\"l2_latency\":" << cfg.mem.l2Latency
+       << ",\"mem_latency\":" << cfg.mem.memLatency
+       << ",\"mshrs\":" << cfg.mem.mshrs
+       << ",\"sample\":\"";
+    os << stats::jsonEscape(p.sample);
+    os << '"';
+}
+
+void
 writePointJson(std::ostream &os, const SweepOutcome &o)
 {
-    {
-        const SweepPoint &p = o.point;
-        const pipeline::RunResult &r = o.result;
-        const pipeline::MachineConfig cfg = p.resolveConfig();
-
-        os << "{\"machine\":\"";
-        os << stats::jsonEscape(cfg.name);
-        os << "\",\"workload\":\"";
-        os << stats::jsonEscape(p.workload);
-        os << "\",\"mode\":\"" << core::informingModeName(p.mode)
-           << "\",\"handler_len\":" << p.handlerLen
-           << ",\"scale\":" << p.scale
-           << ",\"seed\":" << p.seed
-           << ",\"l1_bytes\":" << cfg.l1.sizeBytes
-           << ",\"l1_assoc\":" << cfg.l1.assoc
-           << ",\"l2_bytes\":" << cfg.l2.sizeBytes
-           << ",\"l2_assoc\":" << cfg.l2.assoc
-           << ",\"l2_latency\":" << cfg.mem.l2Latency
-           << ",\"mem_latency\":" << cfg.mem.memLatency
-           << ",\"mshrs\":" << cfg.mem.mshrs
-           << ",\"sample\":\"";
-        os << stats::jsonEscape(p.sample);
-        os << '"';
-        if (!p.sample.empty()) {
-            const sample::SampleEstimate &e = o.estimate;
-            os << ",\"ok\":" << (e.ok ? "true" : "false");
-            if (!e.ok) {
-                os << ",\"error\":\"";
-                os << stats::jsonEscape(e.error.message);
-                os << '"';
-            }
-            os << ",\"windows\":" << e.windows
-               << ",\"passes\":" << e.passes
-               << ",\"cpi_mean\":" << e.cpiMean
-               << ",\"cpi_ci95\":" << e.cpiCi95
-               << ",\"est_cycles\":" << e.estCycles()
-               << ",\"instructions\":" << e.instructions
-               << ",\"ipc\":" << e.ipcMean()
-               << ",\"data_refs\":" << e.dataRefs
-               << ",\"l1_misses\":" << e.l1Misses
-               << ",\"traps\":" << e.traps
-               << ",\"miss_rate_mean\":" << e.missRateMean
-               << ",\"miss_rate_ci95\":" << e.missRateCi95
-               << ",\"exact_miss_rate\":" << e.exactMissRate()
-               << ",\"detailed_instructions\":"
-               << e.detailedInstructions << '}';
-            return;
-        }
-        os << ",\"ok\":" << (r.ok ? "true" : "false");
-        if (!r.ok) {
+    writePointHead(os, o.point);
+    if (!o.point.sample.empty()) {
+        const sample::SampleEstimate &e = o.estimate;
+        os << ",\"ok\":" << (e.ok ? "true" : "false");
+        if (!e.ok) {
             os << ",\"error\":\"";
-            os << stats::jsonEscape(r.error.message);
+            os << stats::jsonEscape(e.error.message);
             os << '"';
         }
-        os << ",\"cycles\":" << r.cycles
-           << ",\"instructions\":" << r.instructions
-           << ",\"ipc\":" << r.ipc()
-           << ",\"data_refs\":" << r.dataRefs
-           << ",\"l1_misses\":" << r.l1Misses
-           << ",\"traps\":" << r.traps
-           << ",\"replay_traps\":" << r.replayTraps
-           << ",\"cond_branches\":" << r.condBranches
-           << ",\"mispredicts\":" << r.mispredicts
-           << ",\"cache_stall_slots\":" << r.cacheStallSlots
-           << ",\"other_stall_slots\":" << r.otherStallSlots
-           << ",\"handler_instructions\":" << r.handlerInstructions
-           << ",\"mshr_full_rejects\":" << r.mshrFullRejects
-           << ",\"bank_conflicts\":" << r.bankConflicts
-           << '}';
+        os << ",\"windows\":" << e.windows
+           << ",\"passes\":" << e.passes
+           << ",\"cpi_mean\":" << e.cpiMean
+           << ",\"cpi_ci95\":" << e.cpiCi95
+           << ",\"est_cycles\":" << e.estCycles()
+           << ",\"instructions\":" << e.instructions
+           << ",\"ipc\":" << e.ipcMean()
+           << ",\"data_refs\":" << e.dataRefs
+           << ",\"l1_misses\":" << e.l1Misses
+           << ",\"traps\":" << e.traps
+           << ",\"miss_rate_mean\":" << e.missRateMean
+           << ",\"miss_rate_ci95\":" << e.missRateCi95
+           << ",\"exact_miss_rate\":" << e.exactMissRate()
+           << ",\"detailed_instructions\":"
+           << e.detailedInstructions << '}';
+        return;
     }
+    const pipeline::RunResult &r = o.result;
+    os << ",\"ok\":" << (r.ok ? "true" : "false");
+    if (!r.ok) {
+        os << ",\"error\":\"";
+        os << stats::jsonEscape(r.error.message);
+        os << '"';
+    }
+    os << ",\"cycles\":" << r.cycles
+       << ",\"instructions\":" << r.instructions
+       << ",\"ipc\":" << r.ipc()
+       << ",\"data_refs\":" << r.dataRefs
+       << ",\"l1_misses\":" << r.l1Misses
+       << ",\"traps\":" << r.traps
+       << ",\"replay_traps\":" << r.replayTraps
+       << ",\"cond_branches\":" << r.condBranches
+       << ",\"mispredicts\":" << r.mispredicts
+       << ",\"cache_stall_slots\":" << r.cacheStallSlots
+       << ",\"other_stall_slots\":" << r.otherStallSlots
+       << ",\"handler_instructions\":" << r.handlerInstructions
+       << ",\"mshr_full_rejects\":" << r.mshrFullRejects
+       << ",\"bank_conflicts\":" << r.bankConflicts
+       << '}';
 }
 
 void

@@ -6,9 +6,9 @@
  * handler lengths, cache and latency overrides); expandGrid() produces
  * the cartesian product as concrete SweepPoints in a deterministic
  * order, and runSweep() executes them on the ordered parallel engine —
- * one fully isolated machine instance per point, results aggregated in
- * grid order so the merged report is byte-identical for any --jobs
- * value.
+ * one fully isolated machine instance per distinct simulation, results
+ * aggregated in grid order so the merged report is byte-identical for
+ * any --jobs value.
  */
 
 #ifndef IMO_SWEEP_SWEEP_HH
@@ -69,6 +69,21 @@ struct SweepPoint
 
     bool operator==(const SweepPoint &o) const = default;
 };
+
+/**
+ * The identity of the simulation @p point runs: its machine, the
+ * resolved cache, latency and MSHR values, workload, scale, seed,
+ * informing mode and sampling schedule, plus the handler length only
+ * where core::handlerLengthShapesProgram() says the mode's program
+ * depends on it (mode N keeps 0 apart from the nonzero lengths, since
+ * instrument() rejects 0). Points with equal keys — *twins* — build the
+ * same program on the same machine config, so their outcomes differ
+ * only in the point itself: one run serves them all. The key is opaque
+ * bytes, equal exactly when those inputs are. Throws
+ * SimException(BadConfig) for an unknown machine, as resolveConfig()
+ * does.
+ */
+std::string simulationKey(const SweepPoint &point);
 
 /** Axis values of a sweep; empty axes fall back to one default cell. */
 struct SweepGrid
@@ -220,7 +235,8 @@ runPointGroup(const std::vector<SweepPoint> &members,
 
 /** Wall-clock execution record of one sweep point — observability
  *  only (lease timelines, manifests); never part of the report.
- *  Points served by one multi-cache group share that group's span. */
+ *  Points served by one multi-cache group share that group's span,
+ *  and twins share their leader's. */
 struct PointTiming
 {
     std::uint64_t startMs = 0;  //!< steady-clock ms, process-relative
@@ -230,16 +246,19 @@ struct PointTiming
 };
 
 /**
- * Run every point with @p jobs worker threads. Each point builds its
- * own program and machine from scratch (no shared mutable state), so
- * outcomes[i] depends only on points[i] and the output is identical
- * for any job count.
+ * Run every point with @p jobs worker threads. Twins (equal
+ * simulationKey()) run once: the first in grid order runs, and each
+ * later twin receives its outcome under its own point, and its timing
+ * record. Every run builds its own program and machine from scratch
+ * (no shared mutable state), so outcomes[i] depends only on points[i]
+ * and the output is identical for any job count.
  *
  * @p cancel / @p completed (both optional) add cooperative
  * cancellation: see runOrdered().
  *
  * @p timings (optional) is resized to points.size() and timings[i] is
- * written by the task running point i (no cross-task sharing); it must
+ * written by the task running point i (no cross-task sharing), or for
+ * a twin copied from its leader's once the pool has joined; it must
  * outlive the call.
  *
  * @p sharing (optional) runs each capture-matching group of sampled
@@ -247,9 +266,9 @@ struct PointTiming
  * the groups it matches (see LibrarySharing).
  *
  * @p multiCache (optional) enables single-pass multi-configuration
- * cache simulation: planMultiCacheGroups() partitions the points and
- * each group runs as one shared-pass task; capture sharing then groups
- * the points left over.
+ * cache simulation: planMultiCacheGroups() partitions the points that
+ * lead their twins and each group runs as one shared-pass task;
+ * capture sharing then groups the leaders left over.
  *
  * All of it runs in one pool phase — a group task queued where its
  * first member sits in grid order — and output bytes are identical
@@ -271,6 +290,14 @@ std::vector<SweepOutcome> runSweep(
  * result store — reproduces the merged report byte-identically.
  */
 void writePointJson(std::ostream &os, const SweepOutcome &outcome);
+
+/**
+ * Write the head of @p point's report object: writePointJson()'s
+ * opening bytes, through the "sample" field — everything the point
+ * alone decides. The rest of the fragment depends only on the run, so
+ * a twin's fragment is another twin's with this head swapped.
+ */
+void writePointHead(std::ostream &os, const SweepPoint &point);
 
 /**
  * Write the merged report as deterministic JSON: points in input

@@ -10,6 +10,10 @@
  *    runSweep() for any worker count, under every farm-level fault,
  *    with duplicate input points collapsed, and with a second run
  *    served entirely from the memoized store.
+ *  - Twin sets (points with one simulation): one lease and a record
+ *    under every member's key; any member's record serves the set;
+ *    a record whose report head names another point is leased, not
+ *    spliced.
  *  - Wire protocol: FrameParser reassembly at every fragmentation
  *    boundary, the authDigest admission keying, and the lease codec
  *    (every task kind round-trips; unknown kinds and mismatched or
@@ -60,6 +64,22 @@ smallPoints()
     g.modes = {core::InformingMode::None,
                core::InformingMode::TrapSingle};
     g.handlerLens = {1};
+    g.scale = 0.1;
+    return sweep::expandGrid(g);
+}
+
+/** smallPoints() at handler lengths 1 and 10: N-1, N-10, S-1, S-10.
+ *  Mode N ignores the handler length, so N-10 twins N-1 and the grid
+ *  holds three simulations. */
+std::vector<sweep::SweepPoint>
+twinPoints()
+{
+    sweep::SweepGrid g;
+    g.workloads = {"ora"};
+    g.machines = {"inorder"};
+    g.modes = {core::InformingMode::None,
+               core::InformingMode::TrapSingle};
+    g.handlerLens = {1, 10};
     g.scale = 0.1;
     return sweep::expandGrid(g);
 }
@@ -295,38 +315,150 @@ TEST(Farm, DuplicatePointsCollapseIntoOneSlot)
     EXPECT_EQ(farmReport(res), sweepReport(pts));
 }
 
+// ------------------------------------------------------------ twin sets
+
+/** The report fragment runPoint() gives @p point on its own. */
+std::vector<std::uint8_t>
+soloFragment(const sweep::SweepPoint &point)
+{
+    std::ostringstream os;
+    sweep::writePointJson(os, sweep::runPoint(point));
+    const std::string text = os.str();
+    return std::vector<std::uint8_t>(text.begin(), text.end());
+}
+
+TEST(FarmTwins, OneLeasePerSetAndARecordPerMember)
+{
+    const std::vector<sweep::SweepPoint> pts = twinPoints();
+    ASSERT_EQ(pts.size(), 4u);
+    ASSERT_EQ(pts[1].mode, core::InformingMode::None);
+    ASSERT_EQ(pts[1].handlerLen, 10u);
+    const std::string dir = tempDir("twins");
+
+    farm::FarmOptions opt;
+    opt.workers = 2;
+    opt.storeDir = dir;
+    const farm::FarmResult res = farm::runFarm(pts, opt);
+    ASSERT_TRUE(res.ok) << res.error.format();
+    EXPECT_EQ(res.stats.uniqueSlots, 3u);
+    EXPECT_EQ(res.stats.simulated, 3u);
+    EXPECT_EQ(farmReport(res), sweepReport(pts));
+
+    // Every member, twin or not, has its own record holding its own
+    // fragment.
+    farm::ResultStore store(dir, true);
+    for (const sweep::SweepPoint &p : pts) {
+        std::vector<std::uint8_t> got;
+        ASSERT_EQ(store.get(farm::keyForPoint(p), &got),
+                  farm::StoreGet::Hit)
+            << sweep::describePoint(p);
+        EXPECT_EQ(got, soloFragment(p)) << sweep::describePoint(p);
+    }
+}
+
+TEST(FarmTwins, OneMembersRecordServesTheWholeSet)
+{
+    const std::vector<sweep::SweepPoint> all = twinPoints();
+    const std::vector<sweep::SweepPoint> pts = {all[0], all[1]};
+    const std::string dir = tempDir("twin_serve");
+    {
+        // Only the length-10 twin, not the lead, is in the store.
+        farm::ResultStore store(dir, false);
+        store.put(farm::keyForPoint(pts[1]), soloFragment(pts[1]));
+    }
+
+    farm::FarmOptions opt;
+    opt.workers = 2;
+    opt.storeDir = dir;
+    opt.resume = true;
+    const farm::FarmResult res = farm::runFarm(pts, opt);
+    ASSERT_TRUE(res.ok) << res.error.format();
+    EXPECT_EQ(res.stats.uniqueSlots, 1u);
+    EXPECT_EQ(res.stats.storeHits, 1u);
+    EXPECT_EQ(res.stats.simulated, 0u);
+    EXPECT_EQ(farmReport(res), sweepReport(pts));
+
+    // The integrity pass left the lead's record too.
+    farm::ResultStore store(dir, true);
+    std::vector<std::uint8_t> got;
+    ASSERT_EQ(store.get(farm::keyForPoint(pts[0]), &got),
+              farm::StoreGet::Hit);
+    EXPECT_EQ(got, soloFragment(pts[0]));
+}
+
+TEST(FarmTwins, RecordWithAForeignHeadIsLeasedNotSpliced)
+{
+    const std::vector<sweep::SweepPoint> all = twinPoints();
+    const std::vector<sweep::SweepPoint> pts = {all[0], all[1]};
+    const std::string dir = tempDir("twin_head");
+    {
+        // The twin's key holds the lead's fragment verbatim: a valid
+        // record whose head names another point.
+        farm::ResultStore store(dir, false);
+        store.put(farm::keyForPoint(pts[1]), soloFragment(pts[0]));
+    }
+
+    farm::FarmOptions opt;
+    opt.workers = 1;
+    opt.storeDir = dir;
+    opt.resume = true;
+    const farm::FarmResult res = farm::runFarm(pts, opt);
+    ASSERT_TRUE(res.ok) << res.error.format();
+    EXPECT_EQ(res.stats.storeHits, 0u);
+    EXPECT_EQ(res.stats.simulated, 1u);
+    EXPECT_EQ(farmReport(res), sweepReport(pts));
+
+    // The finished set rewrote the twin's record with its own bytes.
+    farm::ResultStore store(dir, true);
+    std::vector<std::uint8_t> got;
+    ASSERT_EQ(store.get(farm::keyForPoint(pts[1]), &got),
+              farm::StoreGet::Hit);
+    EXPECT_EQ(got, soloFragment(pts[1]));
+}
+
 /** One chaos schedule per farm-level fault point: the farm must
- *  complete via retry/re-dispatch and the bytes must not change. */
+ *  complete via retry/re-dispatch and the bytes must not change, on a
+ *  plain grid and on one whose twins share a lease. */
 class FarmChaos : public ::testing::TestWithParam<FaultPoint>
 {
+  protected:
+    void
+    survives(const std::vector<sweep::SweepPoint> &pts)
+    {
+        const std::string expect = sweepReport(pts);
+
+        farm::FarmOptions opt;
+        opt.workers = 2;
+        opt.leaseMs = 1500; // short: stalled workers reclaimed quickly
+        opt.heartbeatMs = 50;
+        opt.backoffBaseMs = 5;
+        opt.backoffCapMs = 50;
+        opt.maxAttempts = 30;
+        opt.faults.seed = 17;
+        // Most points draw many times per run; lease-write-fail draws
+        // only once per grant, so it needs a higher probability to
+        // reliably exercise the recovery path.
+        opt.faults.setProbability(
+            GetParam(),
+            GetParam() == FaultPoint::LeaseWriteFail ? 0.9 : 0.5);
+        if (GetParam() == FaultPoint::StoreBitFlip)
+            opt.storeDir = tempDir("chaos_flip");
+
+        const farm::FarmResult res = farm::runFarm(pts, opt);
+        ASSERT_TRUE(res.ok) << res.error.format();
+        EXPECT_EQ(farmReport(res), expect)
+            << "fault " << faultPointName(GetParam());
+    }
 };
 
 TEST_P(FarmChaos, ReportSurvivesFault)
 {
-    const std::vector<sweep::SweepPoint> pts = smallPoints();
-    const std::string expect = sweepReport(pts);
+    survives(smallPoints());
+}
 
-    farm::FarmOptions opt;
-    opt.workers = 2;
-    opt.leaseMs = 1500; // short: stalled workers reclaimed quickly
-    opt.heartbeatMs = 50;
-    opt.backoffBaseMs = 5;
-    opt.backoffCapMs = 50;
-    opt.maxAttempts = 30;
-    opt.faults.seed = 17;
-    // Most points draw many times per run; lease-write-fail draws only
-    // once per grant, so it needs a higher probability to reliably
-    // exercise the recovery path.
-    opt.faults.setProbability(
-        GetParam(),
-        GetParam() == FaultPoint::LeaseWriteFail ? 0.9 : 0.5);
-    if (GetParam() == FaultPoint::StoreBitFlip)
-        opt.storeDir = tempDir("chaos_flip");
-
-    const farm::FarmResult res = farm::runFarm(pts, opt);
-    ASSERT_TRUE(res.ok) << res.error.format();
-    EXPECT_EQ(farmReport(res), expect)
-        << "fault " << faultPointName(GetParam());
+TEST_P(FarmChaos, TwinGridReportSurvivesFault)
+{
+    survives(twinPoints());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -14,6 +14,10 @@
  *    capture-matching group, informing modes included, or replay of a
  *    supplied library) emits the plain sweep's bytes and counts only
  *    the passes that ran.
+ *  - Simulation identity: equal simulationKey() means one program and
+ *    one machine config over every workload, machine and mode; twins
+ *    share one run in runSweep (full, sampled and multi-cache alike)
+ *    yet emit the per-point bytes and carry their leader's timing.
  *  - CacheGeometry: the compiled shift/mask fast path agrees with the
  *    reference divide chain on randomized addresses across all legal
  *    shapes, and lineAddrOf() inverts (setIndex, tag) — the dirty-
@@ -24,6 +28,7 @@
 
 #include <csignal>
 #include <cstdint>
+#include <map>
 #include <random>
 #include <sstream>
 #include <stdexcept>
@@ -33,9 +38,11 @@
 #include "common/error.hh"
 #include "common/json.hh"
 #include "memory/geometry.hh"
+#include "sample/livepoint.hh"
 #include "sample/sharedpass.hh"
 #include "sweep/engine.hh"
 #include "sweep/sweep.hh"
+#include "workloads/suite.hh"
 
 namespace
 {
@@ -417,6 +424,161 @@ TEST(SweepSharing, SharedPassTakesInformingProgramsInOneCacheClass)
         FAIL() << "expected BadConfig for two cache classes";
     } catch (const SimException &e) {
         EXPECT_EQ(e.code(), ErrCode::BadConfig);
+    }
+}
+
+// ---------------------------------------------------- simulation identity
+
+/** The resolved-config fields a point can move, plus the capture
+ *  digest (geometry, predictor, budget) and the machine identity. */
+std::string
+configText(const pipeline::MachineConfig &c)
+{
+    std::ostringstream os;
+    os << c.name << ' ' << c.outOfOrder << ' ' << c.l1.sizeBytes << ' '
+       << c.l1.assoc << ' ' << c.l2.sizeBytes << ' ' << c.l2.assoc << ' '
+       << c.mem.l2Latency << ' ' << c.mem.memLatency << ' ' << c.mem.mshrs
+       << ' ' << sample::captureDigest(c);
+    return os.str();
+}
+
+TEST(SweepIdentity, EqualKeysMeanOneProgramAndOneMachine)
+{
+    sweep::SweepGrid grid;
+    grid.machines = {"ooo", "inorder"};
+    grid.workloads.clear();
+    for (const workloads::BenchmarkInfo &b : workloads::suite())
+        grid.workloads.push_back(b.name);
+    grid.modes = {core::InformingMode::None,
+                  core::InformingMode::TrapSingle,
+                  core::InformingMode::TrapUnique,
+                  core::InformingMode::CondCode};
+    grid.handlerLens = {1, 10};
+    grid.scale = 0.05;
+    std::vector<sweep::SweepPoint> points = sweep::expandGrid(grid);
+    ASSERT_EQ(points.size(), 2u * 14 * 4 * 2);
+    // An override spelled out at its default value resolves to the
+    // same machine, so it is the same simulation too.
+    sweep::SweepPoint spelled = points[0];
+    spelled.l1SizeBytes = points[0].resolveConfig().l1.sizeBytes;
+    spelled.mshrs = points[0].resolveConfig().mem.mshrs;
+    points.push_back(spelled);
+
+    std::map<std::string, std::size_t> first;
+    std::size_t twins = 0;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const sweep::SweepPoint &p = points[i];
+        const auto [it, fresh] =
+            first.emplace(sweep::simulationKey(p), i);
+        if (fresh)
+            continue;
+        ++twins;
+        const sweep::SweepPoint &lead = points[it->second];
+        SCOPED_TRACE(sweep::describePoint(p) + " vs " +
+                     sweep::describePoint(lead));
+        EXPECT_EQ(p.buildProgram().fingerprint(),
+                  lead.buildProgram().fingerprint());
+        EXPECT_EQ(configText(p.resolveConfig()),
+                  configText(lead.resolveConfig()));
+    }
+    // Mode N at length 10 twins length 1 on every machine and
+    // workload, and the spelled-out override twins its default.
+    EXPECT_EQ(twins, 2u * 14 + 1);
+
+    for (const sweep::SweepPoint &p : points) {
+        if (p.handlerLen != 1)
+            continue;
+        sweep::SweepPoint longer = p;
+        longer.handlerLen = 10;
+        if (p.mode == core::InformingMode::None) {
+            EXPECT_EQ(sweep::simulationKey(longer),
+                      sweep::simulationKey(p));
+            // instrument() rejects length 0, so it twins nothing.
+            sweep::SweepPoint zero = p;
+            zero.handlerLen = 0;
+            EXPECT_NE(sweep::simulationKey(zero), sweep::simulationKey(p));
+        } else {
+            EXPECT_NE(sweep::simulationKey(longer),
+                      sweep::simulationKey(p))
+                << sweep::describePoint(p);
+        }
+    }
+}
+
+/** {N, S} x lengths {1, 10} x L1 {4, 8 KB} x {full, 2000:100:100} on
+ *  in-order ora: every mode-N length-10 point twins its length-1 point,
+ *  full and sampled alike, and the sampled mode-N leaders form one
+ *  multi-cache geometry group. */
+std::vector<sweep::SweepPoint>
+twinGridPoints()
+{
+    sweep::SweepGrid grid;
+    grid.machines = {"inorder"};
+    grid.workloads = {"ora"};
+    grid.modes = {core::InformingMode::None,
+                  core::InformingMode::TrapSingle};
+    grid.handlerLens = {1, 10};
+    grid.l1SizesBytes = {4096, 8192};
+    grid.samples = {"", "2000:100:100"};
+    grid.scale = 0.1;
+    return sweep::expandGrid(grid);
+}
+
+TEST(SweepIdentity, TwinsShareOneRunWithPerPointBytes)
+{
+    const std::vector<sweep::SweepPoint> points = twinGridPoints();
+    ASSERT_EQ(points.size(), 16u);
+
+    // The reference: every point run on its own.
+    std::string expect = sweep::reportJsonPrefix;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        if (i)
+            expect += ',';
+        std::ostringstream os;
+        sweep::writePointJson(os, sweep::runPoint(points[i]));
+        expect += os.str();
+    }
+    expect += sweep::reportJsonSuffix;
+    EXPECT_EQ(expect.find("\"ok\":false"), std::string::npos);
+
+    std::map<std::string, std::size_t> first;
+    std::vector<std::size_t> leader(points.size());
+    for (std::size_t i = 0; i < points.size(); ++i)
+        leader[i] = first.emplace(sweep::simulationKey(points[i]), i)
+                        .first->second;
+    ASSERT_EQ(first.size(), 12u);
+
+    for (const unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE(testing::Message() << "jobs=" << jobs);
+        std::vector<sweep::PointTiming> timings;
+        std::vector<std::uint8_t> completed;
+        sweep::MultiCache mc;
+        const std::vector<sweep::SweepOutcome> outs =
+            sweep::runSweep(points, jobs, nullptr, &completed, &timings,
+                            nullptr, &mc);
+        EXPECT_EQ(reportOf(outs), expect);
+        EXPECT_EQ(completed, std::vector<std::uint8_t>(points.size(), 1));
+        // Twins are planned first: only the leaders' sampled mode-N
+        // geometry pair forms a group, not its length-10 twin pair.
+        ASSERT_EQ(mc.groups.size(), 1u);
+        EXPECT_EQ(mc.pointsShared, 2u);
+        for (const std::size_t i : mc.groups[0].members)
+            EXPECT_EQ(leader[i], i);
+
+        std::size_t twins = 0;
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            EXPECT_TRUE(outs[i].point == points[i]) << i;
+            EXPECT_TRUE(timings[i].ran) << i;
+            if (leader[i] == i)
+                continue;
+            ++twins;
+            const sweep::PointTiming &a = timings[i];
+            const sweep::PointTiming &b = timings[leader[i]];
+            EXPECT_EQ(a.startMs, b.startMs) << i;
+            EXPECT_EQ(a.endMs, b.endMs) << i;
+            EXPECT_EQ(a.threadId, b.threadId) << i;
+        }
+        EXPECT_EQ(twins, 4u);
     }
 }
 
