@@ -1,7 +1,9 @@
 #include "common/checkpoint.hh"
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
+#include <cstring>
 
 #include "common/logging.hh"
 
@@ -252,18 +254,23 @@ packZeroRleU8(const std::vector<std::uint8_t> &v)
 {
     std::vector<std::uint8_t> out;
     out.reserve(v.size() / 4 + 16);
-    for (std::size_t i = 0; i < v.size();) {
-        const std::uint8_t b = v[i];
-        out.push_back(b);
-        if (b != 0) {
-            ++i;
-            continue;
-        }
-        std::size_t run = 1;
-        while (i + run < v.size() && v[i + run] == 0)
-            ++run;
-        appendVarint(out, run);
-        i += run;
+    const std::uint8_t *const begin = v.data();
+    const std::uint8_t *const end = begin + v.size();
+    for (const std::uint8_t *p = begin; p < end;) {
+        // Nonzero bytes copy through verbatim, a whole span at a time.
+        const void *zero = std::memchr(p, 0, end - p);
+        const std::uint8_t *const lit_end =
+            zero ? static_cast<const std::uint8_t *>(zero) : end;
+        out.insert(out.end(), p, lit_end);
+        p = lit_end;
+        if (p == end)
+            break;
+        const std::uint8_t *run_end = p + 1;
+        while (run_end < end && *run_end == 0)
+            ++run_end;
+        out.push_back(0);
+        appendVarint(out, static_cast<std::uint64_t>(run_end - p));
+        p = run_end;
     }
     return out;
 }
@@ -279,11 +286,22 @@ unpackZeroRleU8(const std::uint8_t *data, std::size_t len,
         sim_throw_if(pos >= len, ErrCode::BadCheckpoint,
                      "RLE byte array truncated at %zu of %llu bytes",
                      v.size(), static_cast<unsigned long long>(count));
-        const std::uint8_t b = data[pos++];
-        if (b != 0) {
-            v.push_back(b);
+        if (data[pos] != 0) {
+            // A span of literal bytes, cut at the next zero, the end of
+            // the input or the element count, whichever comes first.
+            const std::size_t room = static_cast<std::size_t>(std::min<
+                std::uint64_t>(len - pos, count - v.size()));
+            const void *zero = std::memchr(data + pos, 0, room);
+            const std::size_t lit = zero
+                ? static_cast<std::size_t>(
+                      static_cast<const std::uint8_t *>(zero) -
+                      (data + pos))
+                : room;
+            v.insert(v.end(), data + pos, data + pos + lit);
+            pos += lit;
             continue;
         }
+        ++pos;
         const std::uint64_t run = readVarint(data, len, &pos);
         sim_throw_if(run == 0 || run > count - v.size(),
                      ErrCode::BadCheckpoint,

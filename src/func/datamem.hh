@@ -7,6 +7,7 @@
 #define IMO_FUNC_DATAMEM_HH
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -25,6 +26,14 @@ namespace imo::func
 class DataMemory
 {
   public:
+    // Not copyable: a copy's page cache would point into the source's
+    // pages. A move carries the pages and the cache that points at them.
+    DataMemory() = default;
+    DataMemory(const DataMemory &) = delete;
+    DataMemory &operator=(const DataMemory &) = delete;
+    DataMemory(DataMemory &&) = default;
+    DataMemory &operator=(DataMemory &&) = default;
+
     std::uint64_t
     read64(Addr addr) const
     {
@@ -35,14 +44,15 @@ class DataMemory
                      "unaligned 64-bit read at %#llx",
                      static_cast<unsigned long long>(addr));
         const Addr pg = pageOf(addr);
-        if (pg == _cachedPage) [[likely]]
-            return (*_cachedWords)[wordInPage(addr)];
+        CacheSlot &slot = _slots[pg % kSlots];
+        if (slot.page == pg) [[likely]]
+            return slot.words[wordInPage(addr)];
         auto it = _pages.find(pg);
         if (it == _pages.end())
             return 0;
-        _cachedPage = pg;
+        slot.page = pg;
         // The map itself is non-const; only this accessor is const.
-        _cachedWords = const_cast<std::vector<std::uint64_t> *>(&it->second);
+        slot.words = const_cast<std::uint64_t *>(it->second.data());
         return it->second[wordInPage(addr)];
     }
 
@@ -53,13 +63,14 @@ class DataMemory
                      "unaligned 64-bit write at %#llx",
                      static_cast<unsigned long long>(addr));
         const Addr pg = pageOf(addr);
-        if (pg == _cachedPage) [[likely]] {
-            (*_cachedWords)[wordInPage(addr)] = value;
+        CacheSlot &slot = _slots[pg % kSlots];
+        if (slot.page == pg) [[likely]] {
+            slot.words[wordInPage(addr)] = value;
             return;
         }
         std::vector<std::uint64_t> &words = page(addr);
-        _cachedPage = pg;
-        _cachedWords = &words;
+        slot.page = pg;
+        slot.words = words.data();
         words[wordInPage(addr)] = value;
     }
 
@@ -90,8 +101,7 @@ class DataMemory
     restore(Deserializer &d)
     {
         _pages.clear();
-        _cachedPage = kNoPage;
-        _cachedWords = nullptr;
+        _slots.fill(CacheSlot{});
         const std::vector<Addr> order = d.vecU64Packed();
         for (std::size_t i = 0; i < order.size(); ++i) {
             sim_throw_if(i > 0 && order[i] <= order[i - 1],
@@ -128,14 +138,20 @@ class DataMemory
 
     std::unordered_map<Addr, std::vector<std::uint64_t>> _pages;
 
-    // One-entry page cache: spatial locality makes consecutive
-    // references overwhelmingly land on the same page, turning the
-    // per-reference hash lookup into a compare. Pointers to mapped
-    // values stay valid across rehashes, so only restore() (which
-    // clears the map) needs to drop the cache.
+    // Direct-mapped page cache: references overwhelmingly land on one
+    // of a few recently used pages (a loop streaming two or three arrays
+    // alternates between their pages on every iteration), turning the
+    // per-reference hash lookup into a compare. Page vectors are never
+    // resized after allocation and mapped values stay put across
+    // rehashes, so only restore() (which clears the map) drops it.
     static constexpr Addr kNoPage = ~static_cast<Addr>(0);
-    mutable Addr _cachedPage = kNoPage;
-    mutable std::vector<std::uint64_t> *_cachedWords = nullptr;
+    static constexpr std::size_t kSlots = 64;
+    struct CacheSlot
+    {
+        Addr page = kNoPage;
+        std::uint64_t *words = nullptr;
+    };
+    mutable std::array<CacheSlot, kSlots> _slots{};
 };
 
 } // namespace imo::func

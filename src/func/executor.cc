@@ -26,17 +26,19 @@ Executor::Executor(isa::Program program, const Config &config)
     }
 }
 
+// The register accessors index without checking the register file:
+// the constructor's Program::validate() has checked the file and range
+// of every operand these are called with, and _program never changes.
+
 std::uint64_t
 Executor::readIreg(std::uint8_t unified) const
 {
-    panic_if(isa::isFpRegId(unified), "int read of fp register");
     return unified == 0 ? 0 : _state.ireg[unified];
 }
 
 void
 Executor::writeIreg(std::uint8_t unified, std::uint64_t value)
 {
-    panic_if(isa::isFpRegId(unified), "int write of fp register");
     if (unified != 0)
         _state.ireg[unified] = value;
 }
@@ -44,14 +46,12 @@ Executor::writeIreg(std::uint8_t unified, std::uint64_t value)
 double
 Executor::readFreg(std::uint8_t unified) const
 {
-    panic_if(!isa::isFpRegId(unified), "fp read of int register");
     return _state.freg[unified - isa::numIntRegs];
 }
 
 void
 Executor::writeFreg(std::uint8_t unified, double value)
 {
-    panic_if(!isa::isFpRegId(unified), "fp write of int register");
     _state.freg[unified - isa::numIntRegs] = value;
 }
 

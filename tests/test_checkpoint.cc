@@ -208,7 +208,7 @@ TEST(Container, HostileSectionCountIsRejected)
 }
 
 // ---------------------------------------------------------------------
-// DataMemory's one-entry page cache across restore.
+// DataMemory's page cache across restore and page alternation.
 
 TEST(DataMemory, RestoreDropsThePageCache)
 {
@@ -246,6 +246,86 @@ TEST(DataMemory, RestoreDropsThePageCache)
     d2.closeSection();
     EXPECT_EQ(mem.residentPages(), 0u);
     EXPECT_EQ(mem.read64(0x1000), 0u);
+}
+
+TEST(DataMemory, AlternatingPagesKeepTheirOwnWords)
+{
+    // Pages 1, 65 and 129 share a page-cache slot; pages 2 and 3 do
+    // not. Interleaved traffic must read back every page's own words.
+    const std::vector<Addr> pages = {1, 65, 2, 129, 3};
+    func::DataMemory mem;
+    for (int round = 0; round < 3; ++round) {
+        for (std::size_t i = 0; i < pages.size(); ++i) {
+            const Addr addr = pages[i] * 4096 + 8 * round;
+            mem.write64(addr, 1000 * pages[i] + round);
+        }
+    }
+    for (int round = 0; round < 3; ++round) {
+        for (std::size_t i = pages.size(); i-- > 0;) {
+            const Addr addr = pages[i] * 4096 + 8 * round;
+            EXPECT_EQ(mem.read64(addr), 1000 * pages[i] + round);
+        }
+    }
+    EXPECT_EQ(mem.residentPages(), pages.size());
+    EXPECT_EQ(mem.read64(4 * 4096), 0u); // never written: zero-fill
+}
+
+// ---------------------------------------------------------------------
+// The zero-run-length byte codec behind vecU8Rle().
+
+TEST(ZeroRle, EncodesLiteralsAndZeroRuns)
+{
+    const std::vector<std::uint8_t> v = {5, 0, 0, 0, 7, 9, 0};
+    const std::vector<std::uint8_t> want = {5, 0, 3, 7, 9, 0, 1};
+    EXPECT_EQ(packZeroRleU8(v), want);
+    EXPECT_EQ(unpackZeroRleU8(want.data(), want.size(), v.size()), v);
+
+    // A 300-byte run takes a two-byte varint.
+    std::vector<std::uint8_t> zeros(300, 0);
+    zeros.push_back(4);
+    const std::vector<std::uint8_t> packed = packZeroRleU8(zeros);
+    EXPECT_EQ(packed, (std::vector<std::uint8_t>{0, 0xac, 0x02, 4}));
+    EXPECT_EQ(unpackZeroRleU8(packed.data(), packed.size(), zeros.size()),
+              zeros);
+    EXPECT_TRUE(packZeroRleU8({}).empty());
+}
+
+TEST(ZeroRle, RoundTripsMixedRuns)
+{
+    std::mt19937 gen(11);
+    for (int trial = 0; trial < 200; ++trial) {
+        std::vector<std::uint8_t> v;
+        const int pieces = static_cast<int>(gen() % 12);
+        for (int p = 0; p < pieces; ++p) {
+            const std::size_t len = gen() % 200;
+            const bool zero = gen() % 2;
+            for (std::size_t i = 0; i < len; ++i)
+                v.push_back(zero ? 0 : static_cast<std::uint8_t>(
+                                           1 + gen() % 255));
+        }
+        const std::vector<std::uint8_t> packed = packZeroRleU8(v);
+        EXPECT_EQ(unpackZeroRleU8(packed.data(), packed.size(), v.size()),
+                  v);
+    }
+}
+
+TEST(ZeroRle, RejectsMalformedStreams)
+{
+    auto rejects = [](const std::vector<std::uint8_t> &data,
+                      std::uint64_t count) {
+        try {
+            unpackZeroRleU8(data.data(), data.size(), count);
+        } catch (const SimException &e) {
+            return e.error().code == ErrCode::BadCheckpoint;
+        }
+        return false;
+    };
+    EXPECT_TRUE(rejects({5, 6}, 3));          // truncated literals
+    EXPECT_TRUE(rejects({5, 0, 2}, 4));       // truncated after a run
+    EXPECT_TRUE(rejects({5, 6, 7}, 2));       // trailing literal
+    EXPECT_TRUE(rejects({0, 3}, 2));          // run overshoots the count
+    EXPECT_TRUE(rejects({0, 0}, 2));          // zero-length run
+    EXPECT_FALSE(rejects({5, 0, 2, 6}, 4));
 }
 
 // ---------------------------------------------------------------------
