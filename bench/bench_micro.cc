@@ -200,8 +200,10 @@ BENCHMARK(BM_MultiConfigPass)->Arg(1)->Arg(8)->Arg(24)
     ->Unit(benchmark::kMillisecond);
 
 /** The one-time cost of capturing a live-point library on top of the
- *  sampled run: the functional pass serializes every window's executor
- *  and warm-predictor images instead of running windows in place. */
+ *  sampled run: the functional pass runs every window in place from
+ *  its buffered span and also serializes the window's executor image
+ *  at its boundary. Compare against BM_SampledSimulation, the same
+ *  pass without capture. */
 void
 BM_LivePointCapture(benchmark::State &state)
 {
@@ -222,8 +224,8 @@ BENCHMARK(BM_LivePointCapture)->Unit(benchmark::kMillisecond);
 
 /** Measuring from a captured library: no functional pass at all, the
  *  windows replay from their live points on Arg(0) worker threads.
- *  Compare against BM_SampledSimulation (the sequential interleaved
- *  run) and BM_LivePointCapture (what producing the library costs). */
+ *  Compare against BM_SampledSimulation (the sequential functional
+ *  pass) and BM_LivePointCapture (what producing the library costs). */
 void
 BM_LivePointParallelSample(benchmark::State &state)
 {

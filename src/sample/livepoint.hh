@@ -5,8 +5,8 @@
  * applied to this reproduction's two-phase engine).
  *
  * A *live point* is everything a measurement window needs to run in
- * isolation, captured at the window's warmup boundary during one
- * sequential functional pass:
+ * isolation, captured at the window's warmup boundary by the
+ * functional pass (sample/sharedpass.hh) when a library is asked for:
  *
  *   - the functional executor image (architectural state, data memory,
  *     the reference cache hierarchy, exact statistics) — the window's
@@ -20,7 +20,11 @@
  * a pure function of (machine config, live point, W, M). Windows can
  * therefore run in any order, on any thread, or on any machine, and
  * folding their samples in window order reproduces the sequential
- * sampler's estimate bit for bit.
+ * sampler's estimate bit for bit. Replaying a library (WindowRunner)
+ * is the one producer besides the functional pass: it serves runs
+ * that skip the pass (Sampler::setLibrary) and the farm's window
+ * shards. The pass itself never restores the images it takes; it
+ * runs its windows from buffered spans.
  *
  * A library is a checkpoint container (common/checkpoint.hh framing:
  * versioned, named sections, per-section CRC) with three sections:
@@ -204,8 +208,7 @@ class PredictorWarmer final : public func::WarmSink
  * only; BRMISS-style branches are statically predicted and carry no
  * predictor state — so the accumulator reaches every window boundary
  * in the same state whether the span in between was fast-forwarded or
- * read record by record (the interleaved sampler's in-place windows,
- * the shared pass's buffered window spans).
+ * read record by record (the functional pass's buffered window spans).
  */
 template <typename Cpu>
 class WarmingTraceSource final : public func::TraceSource

@@ -1,14 +1,22 @@
 /**
  * @file
- * One shared functional reference pass serving many sweep points.
+ * The functional pass: the one loop that lays out SMARTS windows and
+ * serves them to one or many machine configurations.
  *
- * A sweep re-runs the same program once per grid point even though
- * the functional instruction stream is often identical across points.
- * This driver runs that stream ONCE and, at each SMARTS window
- * boundary, replays the buffered window records through a fresh timing
- * model per member, producing exactly the WindowSample a dedicated
- * interleaved pass would have measured. Two kinds of member set are
- * eligible:
+ * The pass runs the program's functional stream once. At every window
+ * boundary it fast-forwards the gap (with the pass's phase offset on
+ * the first one), checks the stop flag, builds the warm image, buffers
+ * the W+M window records once through WarmingTraceSource, and hands
+ * (warm image, span) to one runWindow() per member. A dedicated
+ * sampled run (Sampler::run) is a one-member pass; a sweep group is a
+ * many-member pass. With one job the windows run in place as their
+ * spans are buffered; with more (and one cache class), spans collect
+ * into rounds of a fixed size that run on a thread pool, so memory
+ * stays bounded whatever the program length. On request the pass also
+ * takes a live point (executor image) at each boundary for a live-point
+ * library, resumes from a checkpoint, and writes a final one.
+ *
+ * Two kinds of member set are eligible:
  *
  *  - a single cache class (members differ only in timing knobs such as
  *    memory latency or MSHR count): the executor already runs under
@@ -36,12 +44,13 @@
  *    geometry-dependent field is `level`; with several classes the
  *    engine reproduces FunctionalHierarchy::access exactly (property-
  *    tested and IMO_PARANOID_XCHECK-replayed), so the patched records
- *    equal the records the member's own executor would have produced.
+ *    equal the records the member's own executor would have produced;
+ *  - each window is a pure function of its warm image and span, and
+ *    the pool writes each result into its span's slot, so the job
+ *    count cannot change a sample or its order.
  *
- * Each member window runs through the same runWindow() kernel as
- * every other sampling path, and Sampler::runFromWindowSamples() folds
- * the per-member samples into estimates indistinguishable from
- * Sampler::run().
+ * Sampler::runFromWindowSamples() folds the per-member samples into
+ * estimates indistinguishable from Sampler::run().
  */
 
 #ifndef IMO_SAMPLE_SHAREDPASS_HH
@@ -53,13 +62,25 @@
 #include "isa/program.hh"
 #include "memory/multicache.hh"
 #include "pipeline/config.hh"
+#include "pipeline/simulate.hh"
 #include "sample/sample.hh"
 
 namespace imo::sample
 {
 
-/** Output of runSharedGeometryPass(): per-member window samples and
- *  exact totals, plus stream provenance for manifests. */
+/** What a functional pass does besides producing window samples. */
+struct PassRequest
+{
+    std::uint32_t pass = 0; //!< phase offset: first gap U + U*pass/maxPasses
+    unsigned jobs = 1; //!< >1, one cache class: windows run on a pool
+    bool capture = false;   //!< take a live point at every boundary
+    /** Honoured as Sampler::run() documents: the stop flag, the resume
+     *  image or checkpoint file, and (pass 0 only) checkpoint-out. */
+    pipeline::SimulateOptions options;
+};
+
+/** Output of a functional pass: per-member window samples and exact
+ *  totals, plus stream provenance for manifests. */
 struct SharedPassResult
 {
     /** samples[m] holds member m's windows in schedule order. */
@@ -69,7 +90,12 @@ struct SharedPassResult
     std::uint64_t configs = 0;      //!< distinct (L1, L2) classes served
     std::uint64_t streamLength = 0; //!< demand references classified
     std::uint64_t prefetches = 0;   //!< prefetches observed
-    std::uint64_t windows = 0;      //!< window boundaries served
+
+    std::vector<LivePoint> points; //!< one per boundary, with capture
+    std::uint64_t resumedInstructions = 0; //!< resume image position
+    /** The stop flag ended the pass: samples hold the windows that ran
+     *  and totals are not set. */
+    bool interrupted = false;
 };
 
 /** The distinct (L1, L2) cache geometries among a shared pass's
@@ -98,17 +124,22 @@ CacheClasses cacheClasses(const std::vector<pipeline::MachineConfig> &members);
 bool sharedPassEligible(const isa::Program &program);
 
 /**
- * Run the shared pass. All @p members must share the machine kind,
- * predictor geometry and instruction budget (they are grid points
- * differing in cache geometry and timing knobs only), and either fall
- * in one cacheClasses() class or run a sharedPassEligible() @p program;
- * throws SimException(BadConfig) otherwise. Deterministic: a pure
- * function of the arguments.
+ * Run one functional pass serving @p members: a sweep group's shared
+ * pass, or with one member and a @p request, Sampler::run()'s own. All
+ * members must share the machine kind, predictor geometry and
+ * instruction budget (they are grid points differing in cache geometry
+ * and timing knobs only), and either fall in one cacheClasses() class
+ * or run a sharedPassEligible() @p program; throws
+ * SimException(BadConfig) otherwise. Live points, the resume image and
+ * the checkpoint hold the executor under members[0]'s geometry.
+ * Deterministic: a pure function of the arguments, whatever
+ * @p request.jobs.
  */
 SharedPassResult
 runSharedGeometryPass(const isa::Program &program,
                       const std::vector<pipeline::MachineConfig> &members,
-                      const SampleParams &params);
+                      const SampleParams &params,
+                      const PassRequest &request = {});
 
 } // namespace imo::sample
 

@@ -290,7 +290,7 @@ runPointGroup(const std::vector<SweepPoint> &members,
         prov->configs = shared.configs;
         prov->streamLength = shared.streamLength;
         prov->prefetches = shared.prefetches;
-        prov->windows = shared.windows;
+        prov->windows = shared.samples[0].size();
         prov->shared = true;
     }
     return outs;
@@ -566,6 +566,8 @@ writePointJson(std::ostream &os, const SweepOutcome &o)
            << ",\"traps\":" << e.traps
            << ",\"miss_rate_mean\":" << e.missRateMean
            << ",\"miss_rate_ci95\":" << e.missRateCi95
+           << ",\"miss_rate_degenerate\":"
+           << (e.missRateDegenerate ? "true" : "false")
            << ",\"exact_miss_rate\":" << e.exactMissRate()
            << ",\"detailed_instructions\":"
            << e.detailedInstructions << '}';

@@ -252,6 +252,33 @@ TEST(Sampler, CheckpointRoundTripsThroughSampledRuns)
 // while its reported 95% CIs still cover the detailed truth. Timing is
 // only meaningful in optimized builds without the paranoid full-run
 // cross-check or sanitizers.
+TEST(Sampler, AliasedScheduleIsFlaggedDegenerate)
+{
+    // At scale 0.1 the dense 499:100:100 stride never lands a window
+    // on ora's miss phase: all nine windows miss nothing, and the
+    // zero-width interval around 0 says nothing about the real rate.
+    // The flag keeps that aliasing visible in every report.
+    sample::Sampler aliased(buildWorkload("ora", 0.1),
+                            pipeline::makeInOrderConfig(),
+                            sample::SampleParams::parse("499:100:100"));
+    const sample::SampleEstimate est = aliased.run();
+    ASSERT_TRUE(est.ok) << est.error.message;
+    EXPECT_EQ(est.windows, 9u);
+    EXPECT_EQ(est.missRateMean, 0.0);
+    EXPECT_EQ(est.missRateCi95, 0.0);
+    EXPECT_GT(est.exactMissRate(), 0.04);
+    EXPECT_TRUE(est.missRateDegenerate);
+
+    // A schedule whose windows do see misses keeps a real interval.
+    sample::Sampler spread(buildWorkload("espresso"),
+                           pipeline::makeOutOfOrderConfig(),
+                           sample::SampleParams{});
+    const sample::SampleEstimate ok = spread.run();
+    ASSERT_TRUE(ok.ok) << ok.error.message;
+    EXPECT_GT(ok.missRateCi95, 0.0);
+    EXPECT_FALSE(ok.missRateDegenerate);
+}
+
 TEST(Sampler, AlvinnSpeedupGate)
 {
 #ifndef NDEBUG

@@ -427,6 +427,36 @@ TEST(SweepSharing, SharedPassTakesInformingProgramsInOneCacheClass)
     }
 }
 
+TEST(SweepSharing, SharedPassRefusesMixedPredictors)
+{
+    // One warm accumulator trains one predictor for every member, so a
+    // member with another predictor kind or size is refused up front
+    // instead of running on untrained (or misshapen) tables.
+    const std::vector<sweep::SweepPoint> points = timingAxisPoints();
+    const isa::Program prog = points[8].buildProgram();
+    const sample::SampleParams params =
+        sample::SampleParams::parse(points[8].sample);
+    std::vector<pipeline::MachineConfig> cfgs;
+    for (std::size_t m = 0; m < 4; ++m)
+        cfgs.push_back(points[8 + m].resolveConfig());
+    for (const char *what : {"useGshare", "predictorEntries"}) {
+        std::vector<pipeline::MachineConfig> mixed = cfgs;
+        if (std::string(what) == "useGshare")
+            mixed.back().useGshare = !mixed.back().useGshare;
+        else
+            mixed.back().predictorEntries *= 2;
+        ASSERT_NO_THROW(mixed.back().validate()) << what;
+        try {
+            (void)sample::runSharedGeometryPass(prog, mixed, params);
+            ADD_FAILURE() << "expected BadConfig for differing " << what;
+        } catch (const SimException &e) {
+            EXPECT_EQ(e.code(), ErrCode::BadConfig) << what;
+            EXPECT_NE(e.error().message.find("predictor"),
+                      std::string::npos) << e.error().message;
+        }
+    }
+}
+
 // ---------------------------------------------------- simulation identity
 
 /** The resolved-config fields a point can move, plus the capture

@@ -2,10 +2,11 @@
  * @file
  * Window-level equivalence of every sampled-simulation path.
  *
- * Five producers yield the window samples of a sampled point: the
- * interleaved in-place loop, capture + thread pool, live-point library
- * replay, the shared multi-configuration pass, and a farm-style fold
- * of WindowRunner shards run out of order. All of them run each window
+ * Six producers yield the window samples of a sampled point: the
+ * functional pass running each window in place, the same pass running
+ * its buffered spans on a thread pool (with and without live-point
+ * capture), live-point library replay, the shared multi-configuration
+ * pass, and a farm-style fold of WindowRunner shards run out of order. All of them run each window
  * through sample::runWindow() and fold through one Sampler entry, so
  * for one eligible point per CPU kind they must agree on the exact
  * std::vector<WindowSample> and on the estimate's report bytes — not
@@ -20,8 +21,10 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "common/checkpoint.hh"
 #include "common/error.hh"
 #include "pipeline/inorder/cpu.hh"
 #include "pipeline/ooo/cpu.hh"
@@ -59,6 +62,24 @@ reportBytes(const sweep::SweepPoint &point,
     return os.str();
 }
 
+std::vector<std::uint8_t>
+libraryBytes(sample::LivePointLibrary lib)
+{
+    return sample::serializeLibrary(lib);
+}
+
+/** The library a sequential (one-job) run captures. */
+std::shared_ptr<const sample::LivePointLibrary>
+sequentialCapture(const isa::Program &prog,
+                    const pipeline::MachineConfig &cfg,
+                    const sample::SampleParams &params)
+{
+    sample::Sampler s(prog, cfg, params);
+    s.setRetainCapture(true);
+    EXPECT_TRUE(s.run().ok);
+    return s.capturedLibrary();
+}
+
 template <typename Cpu>
 void
 expectEveryProducerAgrees(const char *machine)
@@ -87,15 +108,25 @@ expectEveryProducerAgrees(const char *machine)
         EXPECT_EQ(reportBytes(point, est), bytes) << path;
     };
 
-    // Capture + pool.
+    // Pool: the buffered spans run on four threads; no live points.
     sample::Sampler pooled(prog, cfg, params);
     pooled.setJobs(4);
     const sample::SampleEstimate pooled_est = pooled.run();
-    expectSame("capture+pool", pooled, pooled_est);
+    expectSame("pool", pooled, pooled_est);
+    EXPECT_FALSE(pooled.capturedLibrary());
+
+    // Capture + pool.
+    sample::Sampler captured(prog, cfg, params);
+    captured.setJobs(4);
+    captured.setRetainCapture(true);
+    const sample::SampleEstimate captured_est = captured.run();
+    expectSame("capture+pool", captured, captured_est);
     const std::shared_ptr<const sample::LivePointLibrary> lib =
-        pooled.capturedLibrary();
+        captured.capturedLibrary();
     ASSERT_TRUE(lib);
     EXPECT_EQ(lib->points.size(), windows.size());
+    EXPECT_EQ(libraryBytes(*lib),
+              libraryBytes(*sequentialCapture(prog, cfg, params)));
 
     // Library replay.
     sample::Sampler replay(prog, cfg, params);
@@ -175,4 +206,39 @@ TEST(WindowEquivalence, StopIsReportedAlikeOnEveryPath)
     expectStopped("interleaved", 1, false);
     expectStopped("capture+pool", 4, false);
     expectStopped("library replay", 4, true);
+}
+
+TEST(WindowEquivalence, ExtensionPassesAndCheckpointMatchAcrossJobs)
+{
+    // Passes after the first start at a phase offset, and only pass 0
+    // writes the checkpoint; neither may depend on the job count. The
+    // dense schedule gives each pass more windows than one pool round.
+    sweep::SweepPoint point = sampledPoint("ooo");
+    point.sample = "1999:100:100";
+    const isa::Program prog = point.buildProgram();
+    const pipeline::MachineConfig cfg = point.resolveConfig();
+    sample::SampleParams params = sample::SampleParams::parse(point.sample);
+    params.targetRelErr = 0.001;
+    params.maxPasses = 3;
+
+    const auto runWith = [&](unsigned jobs) {
+        pipeline::SimulateOptions opt;
+        opt.checkpointOut = ::testing::TempDir() +
+            "window_equivalence_j" + std::to_string(jobs) + ".ckpt";
+        sample::Sampler s(prog, cfg, params);
+        s.setJobs(jobs);
+        const sample::SampleEstimate est = s.run(opt);
+        EXPECT_TRUE(est.ok) << est.error.message;
+        EXPECT_EQ(est.passes, 3u);
+        EXPECT_GT(est.windows, 3 * 150u);
+        EXPECT_FALSE(s.capturedLibrary());
+        return std::make_tuple(s.windowSamples(), reportBytes(point, est),
+                               Deserializer::readFile(opt.checkpointOut));
+    };
+    const auto seq = runWith(1);
+    const auto par = runWith(4);
+    EXPECT_EQ(std::get<0>(par), std::get<0>(seq));
+    EXPECT_EQ(std::get<1>(par), std::get<1>(seq));
+    EXPECT_FALSE(std::get<2>(seq).empty());
+    EXPECT_EQ(std::get<2>(par), std::get<2>(seq));
 }

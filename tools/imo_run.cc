@@ -676,7 +676,7 @@ main(int argc, char **argv)
             if (csv) {
                 std::printf(
                     "%s,%s,%s,%u,%s,%llu,%u,%.6f,%.6f,%.0f,%llu,"
-                    "%.6f,%.6f,%.6f,%llu\n",
+                    "%.6f,%.6f,%.6f,%llu,%d\n",
                     prog.name().c_str(), machine.name.c_str(),
                     mode_name.c_str(), handler_len, est.spec.c_str(),
                     static_cast<unsigned long long>(est.windows),
@@ -686,7 +686,8 @@ main(int argc, char **argv)
                     est.missRateMean, est.missRateCi95,
                     est.exactMissRate(),
                     static_cast<unsigned long long>(
-                        est.detailedInstructions));
+                        est.detailedInstructions),
+                    est.missRateDegenerate ? 1 : 0);
                 return 0;
             }
 
@@ -716,9 +717,13 @@ main(int argc, char **argv)
                                   est.instructions
                             : 0.0);
             std::printf("L1 miss rate  %12.4f   +/- %.4f (exact "
-                        "%.4f)\n",
+                        "%.4f)%s\n",
                         est.missRateMean, est.missRateCi95,
-                        est.exactMissRate());
+                        est.exactMissRate(),
+                        est.missRateDegenerate
+                            ? "  degenerate CI: under two windows "
+                              "missed, or zero variance"
+                            : "");
             std::printf("traps         %12llu\n",
                         static_cast<unsigned long long>(est.traps));
             if (!sim_options.checkpointIn.empty())
