@@ -35,7 +35,7 @@ namespace imo::sweep
  * content-addressed result store keys records on it so a report-format
  * change can never serve stale bytes.
  */
-constexpr std::uint32_t reportSchemaVersion = 1;
+constexpr std::uint32_t reportSchemaVersion = 2; // 2: miss_rate_degenerate
 
 /** One concrete cell of the grid: everything needed to run it. */
 struct SweepPoint

@@ -416,6 +416,48 @@ TEST(FarmTwins, RecordWithAForeignHeadIsLeasedNotSpliced)
     EXPECT_EQ(got, soloFragment(pts[1]));
 }
 
+TEST(Farm, RecordOfAnOlderReportSchemaIsLeasedNotServed)
+{
+    // A sampled point, stored under report schema 1 in the form that
+    // schema wrote: no miss_rate_degenerate field.
+    sweep::SweepPoint point = smallPoints()[0];
+    point.sample = "2000:100:100";
+    const std::vector<sweep::SweepPoint> pts = {point};
+    const std::vector<std::uint8_t> fresh = soloFragment(point);
+    std::string text(fresh.begin(), fresh.end());
+    const std::size_t at = text.find(",\"miss_rate_degenerate\":");
+    ASSERT_NE(at, std::string::npos) << text;
+    text.erase(at, text.find(',', at + 1) - at);
+
+    const std::string dir = tempDir("old_schema");
+    farm::PointKey old = farm::keyForPoint(point);
+    ASSERT_GT(old.schemaVersion, 1u);
+    old.schemaVersion = 1;
+    {
+        farm::ResultStore store(dir, false);
+        store.put(old, std::vector<std::uint8_t>(text.begin(), text.end()));
+    }
+
+    farm::FarmOptions opt;
+    opt.workers = 1;
+    opt.storeDir = dir;
+    opt.resume = true;
+    const farm::FarmResult res = farm::runFarm(pts, opt);
+    ASSERT_TRUE(res.ok) << res.error.format();
+    EXPECT_EQ(res.stats.storeHits, 0u);
+    EXPECT_EQ(res.stats.simulated, 1u);
+    EXPECT_EQ(farmReport(res), sweepReport(pts));
+
+    // The current record sits beside the old one, which is untouched.
+    farm::ResultStore store(dir, true);
+    std::vector<std::uint8_t> got;
+    ASSERT_EQ(store.get(farm::keyForPoint(point), &got),
+              farm::StoreGet::Hit);
+    EXPECT_EQ(got, fresh);
+    ASSERT_EQ(store.get(old, &got), farm::StoreGet::Hit);
+    EXPECT_EQ(std::string(got.begin(), got.end()), text);
+}
+
 /** One chaos schedule per farm-level fault point: the farm must
  *  complete via retry/re-dispatch and the bytes must not change, on a
  *  plain grid and on one whose twins share a lease. */

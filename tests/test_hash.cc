@@ -77,15 +77,15 @@ TEST(DigestPin, StoreKeys)
 {
     const sweep::SweepPoint p = pinnedPoint();
     EXPECT_EQ(farm::keyForPoint(p).hex(),
-              "0213ca8317ad2fc02d4ad53223962c8600000001");
+              "0213ca8317ad2fc02d4ad53223962c8600000002");
 
     sweep::SweepPoint q = p;
     q.l1SizeBytes = 32 * 1024;
     EXPECT_EQ(farm::keyForGroup({p, q}).hex(),
-              "61742879c56b314c2d4ad53223962c8600000001");
+              "61742879c56b314c2d4ad53223962c8600000002");
 
     EXPECT_EQ(farm::keyForWindow(p, 0x0123456789abcdefull, 7).hex(),
-              "88ec459f2fce5d010123456789abcdef00000001");
+              "88ec459f2fce5d010123456789abcdef00000002");
 }
 
 TEST(DigestPin, CaptureDigest)
