@@ -142,18 +142,8 @@ instrument(const Program &base, InformingMode mode,
                                handler_entry(in.staticRefId))});
         }
 
-        switch (in.op) {
-          case Op::BEQ: case Op::BNE: case Op::BLT: case Op::BGE:
-          case Op::J: case Op::JAL: case Op::BRMISS: case Op::BRMISS2:
+        if (isa::immIsTarget(in))
             in.imm = patch_target(in.imm);
-            break;
-          case Op::SETMHAR:
-            if (in.imm != 0)
-                in.imm = patch_target(in.imm);
-            break;
-          default:
-            break;
-        }
         out.push_back(in);
 
         if (is_ref && mode == InformingMode::CondCode) {
@@ -228,18 +218,8 @@ instrumentWithMissProfiler(const isa::Program &base, Addr table_base)
 
     for (InstAddr pc = 0; pc < n; ++pc) {
         Instruction in = insts[pc];
-        switch (in.op) {
-          case Op::BEQ: case Op::BNE: case Op::BLT: case Op::BGE:
-          case Op::J: case Op::JAL: case Op::BRMISS: case Op::BRMISS2:
+        if (isa::immIsTarget(in))
             in.imm += 1;
-            break;
-          case Op::SETMHAR:
-            if (in.imm != 0)
-                in.imm += 1;
-            break;
-          default:
-            break;
-        }
         out.push_back(in);
     }
 

@@ -22,7 +22,8 @@
  *         retmh
  *
  * Control targets may be label names or absolute `@N` addresses;
- * `;` and `#` start comments.
+ * `;` and `#` start comments. Mnemonics and operand syntax come from
+ * the op table (isa/op.hh): each op is parsed by its form.
  */
 
 #ifndef IMO_ISA_ASM_HH
@@ -49,8 +50,9 @@ AsmResult assemble(const std::string &source);
 
 /**
  * Render @p prog as assembler source that re-assembles to an identical
- * program: code labels for every control target, `.alloc`-free (data
- * segments become `.org`-style `.init` at absolute addresses).
+ * program: one disassembled line per instruction (control targets as
+ * absolute `@N`), `.alloc`-free (data segments become `.init` at
+ * absolute addresses).
  */
 std::string formatAssembly(const Program &prog);
 

@@ -26,71 +26,44 @@ std::string
 disassemble(const Instruction &inst)
 {
     std::ostringstream os;
-    os << opName(inst.op);
+    const OpInfo &info = opInfo(inst.op);
+    os << info.name;
 
-    const Op op = inst.op;
-    switch (op) {
-      case Op::ADD: case Op::SUB: case Op::MUL: case Op::DIV:
-      case Op::AND: case Op::OR: case Op::XOR: case Op::SLT:
-      case Op::FADD: case Op::FSUB: case Op::FMUL: case Op::FDIV:
-        os << " " << regName(inst.rd) << ", " << regName(inst.rs1)
-           << ", " << regName(inst.rs2);
-        break;
-      case Op::ADDI: case Op::ANDI: case Op::SLL: case Op::SRL:
-      case Op::SLTI:
-        os << " " << regName(inst.rd) << ", " << regName(inst.rs1)
-           << ", " << inst.imm;
-        break;
-      case Op::LI:
-        os << " " << regName(inst.rd) << ", " << inst.imm;
-        break;
-      case Op::FSQRT: case Op::FMOV: case Op::CVTIF: case Op::CVTFI:
-        os << " " << regName(inst.rd) << ", " << regName(inst.rs1);
-        break;
-      case Op::LD: case Op::FLD:
-        os << " " << regName(inst.rd) << ", " << inst.imm << "("
-           << regName(inst.rs1) << ")";
-        break;
-      case Op::ST: case Op::FST:
-        os << " " << regName(inst.rs2) << ", " << inst.imm << "("
-           << regName(inst.rs1) << ")";
-        break;
-      case Op::PREFETCH:
-        os << " " << inst.imm << "(" << regName(inst.rs1) << ")";
-        break;
-      case Op::BEQ: case Op::BNE: case Op::BLT: case Op::BGE:
-        os << " " << regName(inst.rs1) << ", " << regName(inst.rs2)
-           << ", @" << inst.imm;
-        break;
-      case Op::J: case Op::BRMISS: case Op::BRMISS2:
-        os << " @" << inst.imm;
-        break;
-      case Op::SETMHARPC:
-        os << " pc" << (inst.imm >= 0 ? "+" : "") << inst.imm;
-        break;
-      case Op::SETMHLVL:
-        os << " " << inst.imm;
-        break;
-      case Op::JAL:
-        os << " " << regName(inst.rd) << ", @" << inst.imm;
-        break;
-      case Op::JR: case Op::SETMHARR: case Op::SETMHRR:
-        os << " " << regName(inst.rs1);
-        break;
-      case Op::SETMHAR:
-        if (inst.imm == 0)
-            os << " off";
-        else
-            os << " @" << inst.imm;
-        break;
-      case Op::GETMHRR:
-        os << " " << regName(inst.rd);
-        break;
-      default:
-        break;
+    const Operands ops = operandsOf(info.form);
+    for (std::uint8_t i = 0; i < ops.count; ++i) {
+        os << (i ? ", " : " ");
+        switch (ops.at[i]) {
+          case Operand::Rd: case Operand::Fd:
+            os << regName(inst.rd);
+            break;
+          case Operand::Rs1: case Operand::Fs1:
+            os << regName(inst.rs1);
+            break;
+          case Operand::Rs2: case Operand::Fs2:
+            os << regName(inst.rs2);
+            break;
+          case Operand::Imm:
+            os << inst.imm;
+            break;
+          case Operand::Mem:
+            os << inst.imm << "(" << regName(inst.rs1) << ")";
+            break;
+          case Operand::MharTarget:
+            if (inst.imm == 0) {
+                os << "off";
+                break;
+            }
+            [[fallthrough]];
+          case Operand::Target:
+            os << "@" << inst.imm;
+            break;
+          case Operand::PcRel:
+            os << "pc" << (inst.imm >= 0 ? "+" : "") << inst.imm;
+            break;
+        }
     }
 
-    if (isDataRef(op) && !inst.informing)
+    if (isDataRef(inst.op) && !inst.informing)
         os << " !informing";
     return os.str();
 }

@@ -1,6 +1,7 @@
 /**
  * @file
- * The MRISC instruction word and register-usage helpers.
+ * The MRISC instruction word and the register-usage helpers that
+ * read each op's operand shape from the op table (isa/op.hh).
  */
 
 #ifndef IMO_ISA_INSTRUCTION_HH
@@ -71,39 +72,18 @@ struct SrcRegs
 };
 
 /** @return the register sources actually read by @p inst. Inline: the
- *  wakeup logic of both timing models calls this once per instruction. */
+ *  wakeup logic of both timing models calls this once per instruction.
+ *  Reads of the hardwired integer zero register carry no dependence. */
 inline SrcRegs
 srcRegs(const Instruction &inst)
 {
+    const OpShape &s = opInfo(inst.op).shape;
     SrcRegs out;
-    auto add = [&out](std::uint8_t r) { out.reg[out.count++] = r; };
-
-    switch (inst.op) {
-      case Op::ADD: case Op::SUB: case Op::MUL: case Op::DIV:
-      case Op::AND: case Op::OR: case Op::XOR: case Op::SLT:
-      case Op::FADD: case Op::FSUB: case Op::FMUL: case Op::FDIV:
-      case Op::BEQ: case Op::BNE: case Op::BLT: case Op::BGE:
-      case Op::ST: case Op::FST:
-        add(inst.rs1);
-        add(inst.rs2);
-        break;
-      case Op::ADDI: case Op::ANDI: case Op::SLL: case Op::SRL:
-      case Op::SLTI: case Op::FSQRT: case Op::FMOV: case Op::CVTIF:
-      case Op::CVTFI: case Op::LD: case Op::FLD: case Op::PREFETCH:
-      case Op::JR: case Op::SETMHARR: case Op::SETMHRR:
-        add(inst.rs1);
-        break;
-      default:
-        break;
-    }
-
-    // Reads of the hardwired integer zero register carry no dependence.
-    SrcRegs filtered;
-    for (std::uint8_t i = 0; i < out.count; ++i) {
-        if (out.reg[i] != intReg(0))
-            filtered.reg[filtered.count++] = out.reg[i];
-    }
-    return filtered;
+    if (s.rs1 && inst.rs1 != intReg(0))
+        out.reg[out.count++] = inst.rs1;
+    if (s.rs2 && inst.rs2 != intReg(0))
+        out.reg[out.count++] = inst.rs2;
+    return out;
 }
 
 /**
@@ -113,19 +93,21 @@ srcRegs(const Instruction &inst)
 inline int
 dstReg(const Instruction &inst)
 {
-    switch (inst.op) {
-      case Op::ADD: case Op::ADDI: case Op::SUB: case Op::MUL:
-      case Op::DIV: case Op::AND: case Op::ANDI: case Op::OR:
-      case Op::XOR: case Op::SLL: case Op::SRL: case Op::SLT:
-      case Op::SLTI: case Op::LI: case Op::CVTFI: case Op::LD:
-      case Op::GETMHRR: case Op::JAL:
-        return inst.rd == intReg(0) ? -1 : inst.rd;
-      case Op::FADD: case Op::FSUB: case Op::FMUL: case Op::FDIV:
-      case Op::FSQRT: case Op::FMOV: case Op::CVTIF: case Op::FLD:
-        return inst.rd;
-      default:
-        return -1;
-    }
+    const OpShape &s = opInfo(inst.op).shape;
+    return s.rd && (s.rdFp || inst.rd != intReg(0)) ? inst.rd : -1;
+}
+
+/**
+ * @return true if @p inst's imm is an absolute instruction index: a
+ * control target, or an MHAR value other than 0 (trapping off).
+ * Rewriters that move instructions re-patch exactly these.
+ */
+inline bool
+immIsTarget(const Instruction &inst)
+{
+    const OpInfo &info = opInfo(inst.op);
+    return info.shape.immTarget &&
+           !(info.form == Form::Setmhar && inst.imm == 0);
 }
 
 } // namespace imo::isa

@@ -22,79 +22,6 @@ complain(std::string *why, const char *fmt, InstAddr pc, const char *extra)
     return false;
 }
 
-/** Does this op's rs1 name an FP register? */
-bool
-rs1IsFp(Op op)
-{
-    switch (op) {
-      case Op::FADD: case Op::FSUB: case Op::FMUL: case Op::FDIV:
-      case Op::FSQRT: case Op::FMOV: case Op::CVTFI:
-        return true;
-      default:
-        return false;
-    }
-}
-
-/** Does this op's rs2 name an FP register? */
-bool
-rs2IsFp(Op op)
-{
-    switch (op) {
-      case Op::FADD: case Op::FSUB: case Op::FMUL: case Op::FDIV:
-      case Op::FST:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-usesRs1(Op op)
-{
-    switch (op) {
-      case Op::ADD: case Op::ADDI: case Op::SUB: case Op::MUL:
-      case Op::DIV: case Op::AND: case Op::ANDI: case Op::OR:
-      case Op::XOR: case Op::SLL: case Op::SRL: case Op::SLT:
-      case Op::SLTI: case Op::FADD: case Op::FSUB: case Op::FMUL:
-      case Op::FDIV: case Op::FSQRT: case Op::FMOV: case Op::CVTIF:
-      case Op::CVTFI: case Op::LD: case Op::ST: case Op::FLD:
-      case Op::FST: case Op::PREFETCH: case Op::BEQ: case Op::BNE:
-      case Op::BLT: case Op::BGE: case Op::JR: case Op::SETMHARR:
-      case Op::SETMHRR:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-usesRs2(Op op)
-{
-    switch (op) {
-      case Op::ADD: case Op::SUB: case Op::MUL: case Op::DIV:
-      case Op::AND: case Op::OR: case Op::XOR: case Op::SLT:
-      case Op::FADD: case Op::FSUB: case Op::FMUL: case Op::FDIV:
-      case Op::ST: case Op::FST: case Op::BEQ: case Op::BNE:
-      case Op::BLT: case Op::BGE:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-hasImmTarget(Op op)
-{
-    switch (op) {
-      case Op::BEQ: case Op::BNE: case Op::BLT: case Op::BGE:
-      case Op::J: case Op::JAL: case Op::BRMISS: case Op::BRMISS2:
-      case Op::SETMHAR:
-        return true;
-      default:
-        return false;
-    }
-}
-
 } // anonymous namespace
 
 bool
@@ -123,25 +50,21 @@ Program::validate(std::string *why) const
             return true;
         };
 
-        if (usesRs1(in.op) && !check_reg(in.rs1, rs1IsFp(in.op), "rs1"))
+        const OpInfo &info = opInfo(in.op);
+        const OpShape &shape = info.shape;
+        if (shape.rs1 && !check_reg(in.rs1, shape.rs1Fp, "rs1"))
             return false;
-        if (usesRs2(in.op) && !check_reg(in.rs2, rs2IsFp(in.op), "rs2"))
+        if (shape.rs2 && !check_reg(in.rs2, shape.rs2Fp, "rs2"))
             return false;
-        if (dstReg(in) >= 0 &&
-            !check_reg(static_cast<std::uint8_t>(dstReg(in)),
-                       writesFp(in.op), "rd")) {
+        if (shape.rd && !check_reg(in.rd, shape.rdFp, "rd"))
             return false;
-        }
 
-        if (hasImmTarget(in.op)) {
-            const bool disable_mhar = in.op == Op::SETMHAR && in.imm == 0;
-            if (!disable_mhar &&
-                (in.imm < 0 || in.imm >= static_cast<std::int64_t>(size())))
-                return complain(why, "pc %u: control target out of range%s",
-                                pc, "");
-        }
+        if (immIsTarget(in) &&
+            (in.imm < 0 || in.imm >= static_cast<std::int64_t>(size())))
+            return complain(why, "pc %u: control target out of range%s",
+                            pc, "");
 
-        if (in.op == Op::SETMHARPC) {
+        if (info.form == Form::SetmharPc) {
             const std::int64_t target = static_cast<std::int64_t>(pc)
                 + in.imm;
             if (target < 0 || target >= static_cast<std::int64_t>(size()))
@@ -149,7 +72,7 @@ Program::validate(std::string *why) const
                                 "pc %u: pc-relative MHAR out of range%s",
                                 pc, "");
         }
-        if (in.op == Op::SETMHLVL && (in.imm < 1 || in.imm > 2))
+        if (info.form == Form::Level && (in.imm < 1 || in.imm > 2))
             return complain(why, "pc %u: bad trap level%s", pc, "");
 
         if (isDataRef(in.op) && in.staticRefId != noRefId)

@@ -195,7 +195,9 @@ Sampler::runPasses(const char *kind, const pipeline::SimulateOptions &opt)
         // points while the expensive executor construction happens
         // once per worker, not once per window. runOrderedWith writes
         // each sample into its window's slot, so the fold sees window
-        // order however the pool scheduled them.
+        // order however the pool scheduled them. A fault injector is
+        // shared by every window, so with one the windows run in order
+        // on this thread.
         const std::function<WindowRunner<Cpu>()> make_runner = [this] {
             return WindowRunner<Cpu>(_program, _config);
         };
@@ -208,7 +210,8 @@ Sampler::runPasses(const char *kind, const pipeline::SimulateOptions &opt)
         std::vector<std::uint8_t> completed;
         foldWindowSamples(
             sweep::runOrderedWith<WindowSample, WindowRunner<Cpu>>(
-                make_runner, tasks, _jobs, opt.stopFlag, &completed),
+                make_runner, tasks, _config.faults ? 1 : _jobs,
+                opt.stopFlag, &completed),
             &completed);
         _est.passes = 1;
         return;

@@ -219,7 +219,9 @@ class Sampler
      * window runs in place as the functional pass reaches it; >1 runs
      * the buffered window spans on a pool, round by round (or the
      * library's windows, with setLibrary). Reports are byte-identical
-     * for every value.
+     * for every value. With a fault injector (MachineConfig::faults)
+     * the windows always run in order on the calling thread: they
+     * share its random streams.
      */
     void setJobs(unsigned jobs) { _jobs = jobs; }
 

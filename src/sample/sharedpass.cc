@@ -150,12 +150,17 @@ runPassImpl(const isa::Program &program,
     const std::uint64_t W = params.warmup;
     const std::uint64_t M = params.measure;
 
-    // One job, or several cache classes (the engine's captured levels
-    // only live until the next span): each span's windows run in place
-    // as soon as it is buffered. Otherwise the pool runs a round of
-    // spans, writing each window's sample into its slot, so the order
-    // never depends on scheduling.
-    const bool pooled = req.jobs > 1 && !engine;
+    // One job, several cache classes (the engine's captured levels
+    // only live until the next span), or a fault injector (its random
+    // streams are shared by every window, so draws must come in window
+    // order): each span's windows run in place as soon as it is
+    // buffered. Otherwise the pool runs a round of spans, writing each
+    // window's sample into its slot, so the order never depends on
+    // scheduling.
+    const bool faults = std::any_of(
+        members.begin(), members.end(),
+        [](const pipeline::MachineConfig &m) { return m.faults; });
+    const bool pooled = req.jobs > 1 && !engine && !faults;
     std::vector<Span> round(pooled ? spansPerRound : 1);
     std::size_t pending = 0;
     const auto window = [&](const Span &s, std::size_t m) {

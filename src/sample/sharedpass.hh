@@ -72,7 +72,9 @@ namespace imo::sample
 struct PassRequest
 {
     std::uint32_t pass = 0; //!< phase offset: first gap U + U*pass/maxPasses
-    unsigned jobs = 1; //!< >1, one cache class: windows run on a pool
+    /** >1, with one cache class and no fault injector: windows run
+     *  on a pool. */
+    unsigned jobs = 1;
     bool capture = false;   //!< take a live point at every boundary
     /** Honoured as Sampler::run() documents: the stop flag, the resume
      *  image or checkpoint file, and (pass 0 only) checkpoint-out. */

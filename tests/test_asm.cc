@@ -204,6 +204,85 @@ TEST(AsmRoundTrip, HandBuiltProgram)
     expectRoundTrip(b.finish());
 }
 
+TEST(AsmRoundTrip, EveryOpOnce)
+{
+    // One instruction per op, plus the operand spellings the suite's
+    // programs never emit: "setmhar off", a negative pc-relative MHAR,
+    // negative displacements and !informing refs.
+    const char *text =
+        "    add r1, r2, r3\n"
+        "    addi r1, r2, -5\n"
+        "    sub r1, r2, r3\n"
+        "    mul r4, r5, r6\n"
+        "    div r4, r5, r6\n"
+        "    and r1, r2, r3\n"
+        "    andi r1, r2, 255\n"
+        "    or r1, r2, r3\n"
+        "    xor r1, r2, r3\n"
+        "    sll r1, r2, 3\n"
+        "    srl r1, r2, 4\n"
+        "    slt r1, r2, r3\n"
+        "    slti r1, r2, 7\n"
+        "    li r7, -42\n"
+        "    fadd f1, f2, f3\n"
+        "    fsub f1, f2, f3\n"
+        "    fmul f1, f2, f3\n"
+        "    fdiv f1, f2, f31\n"
+        "    fsqrt f4, f5\n"
+        "    fmov f4, f0\n"
+        "    cvtif f6, r7\n"
+        "    cvtfi r8, f6\n"
+        "    ld r9, 16(r10)\n"
+        "    ld r9, -8(r10) !informing\n"
+        "    st r11, 24(r10)\n"
+        "    st r11, 0(r10) !informing\n"
+        "    fld f7, 8(r10)\n"
+        "    fld f7, 8(r10) !informing\n"
+        "    fst f8, 32(r10)\n"
+        "    fst f8, 32(r10) !informing\n"
+        "    prefetch 64(r10)\n"
+        "    beq r1, r2, @40\n"
+        "    bne r1, r0, @0\n"
+        "    blt r1, r2, @44\n"
+        "    bge r1, r2, @5\n"
+        "    j @44\n"
+        "    jal r31, @44\n"
+        "    jr r31\n"
+        "    setmhar @44\n"
+        "    setmhar off\n"
+        "    setmharr r12\n"
+        "    getmhrr r13\n"
+        "    setmhrr r13\n"
+        "    retmh\n"
+        "    brmiss @0\n"
+        "    brmiss2 @44\n"
+        "    setmharpc pc-3\n"
+        "    setmharpc pc+2\n"
+        "    setmhlvl 2\n"
+        "    nop\n"
+        "    halt\n";
+    const AsmResult r = assemble(text);
+    ASSERT_TRUE(r.ok) << r.error << " (line " << r.errorLine << ")";
+    const Program &prog = r.program;
+
+    std::vector<bool> seen(static_cast<std::size_t>(Op::NumOps));
+    for (const Instruction &in : prog.insts())
+        seen[static_cast<std::size_t>(in.op)] = true;
+    for (std::size_t i = 0; i < seen.size(); ++i)
+        EXPECT_TRUE(seen[i]) << opName(static_cast<Op>(i));
+
+    EXPECT_EQ(prog.inst(23).imm, -8);
+    EXPECT_FALSE(prog.inst(23).informing);
+    EXPECT_EQ(prog.inst(39).imm, 0);
+    EXPECT_EQ(prog.inst(46).imm, -3);
+    EXPECT_EQ(prog.numStaticRefs(), 8u);
+
+    // The formatter prints exactly the source back, and that parses to
+    // the same program.
+    EXPECT_EQ(formatAssembly(prog), text);
+    expectRoundTrip(prog);
+}
+
 class WorkloadRoundTrip : public ::testing::TestWithParam<std::string>
 {
 };

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "isa/builder.hh"
 #include "isa/disasm.hh"
 #include "isa/instruction.hh"
@@ -66,6 +70,153 @@ TEST(Op, EveryOpHasAName)
         const char *name = opName(static_cast<Op>(i));
         EXPECT_STRNE(name, "?") << "op " << i;
     }
+}
+
+/**
+ * The shape of every op, written out once more by hand: its name,
+ * class, which of rd/rs1/rs2 it uses and in which register file
+ * ('r' integer, 'f' floating point, '-' unused), and whether imm is a
+ * control target.
+ */
+struct OpExpect
+{
+    Op op;
+    const char *name;
+    OpClass cls;
+    const char *regs;  //!< rd, rs1, rs2
+    bool immTarget;
+};
+
+constexpr OpExpect opExpects[] = {
+    {Op::ADD, "add", OpClass::IntAlu, "rrr", false},
+    {Op::ADDI, "addi", OpClass::IntAlu, "rr-", false},
+    {Op::SUB, "sub", OpClass::IntAlu, "rrr", false},
+    {Op::MUL, "mul", OpClass::IntMul, "rrr", false},
+    {Op::DIV, "div", OpClass::IntDiv, "rrr", false},
+    {Op::AND, "and", OpClass::IntAlu, "rrr", false},
+    {Op::ANDI, "andi", OpClass::IntAlu, "rr-", false},
+    {Op::OR, "or", OpClass::IntAlu, "rrr", false},
+    {Op::XOR, "xor", OpClass::IntAlu, "rrr", false},
+    {Op::SLL, "sll", OpClass::IntAlu, "rr-", false},
+    {Op::SRL, "srl", OpClass::IntAlu, "rr-", false},
+    {Op::SLT, "slt", OpClass::IntAlu, "rrr", false},
+    {Op::SLTI, "slti", OpClass::IntAlu, "rr-", false},
+    {Op::LI, "li", OpClass::IntAlu, "r--", false},
+    {Op::FADD, "fadd", OpClass::FpAlu, "fff", false},
+    {Op::FSUB, "fsub", OpClass::FpAlu, "fff", false},
+    {Op::FMUL, "fmul", OpClass::FpAlu, "fff", false},
+    {Op::FDIV, "fdiv", OpClass::FpDiv, "fff", false},
+    {Op::FSQRT, "fsqrt", OpClass::FpSqrt, "ff-", false},
+    {Op::FMOV, "fmov", OpClass::FpAlu, "ff-", false},
+    {Op::CVTIF, "cvtif", OpClass::FpAlu, "fr-", false},
+    {Op::CVTFI, "cvtfi", OpClass::IntAlu, "rf-", false},
+    {Op::LD, "ld", OpClass::Load, "rr-", false},
+    {Op::ST, "st", OpClass::Store, "-rr", false},
+    {Op::FLD, "fld", OpClass::Load, "fr-", false},
+    {Op::FST, "fst", OpClass::Store, "-rf", false},
+    {Op::PREFETCH, "prefetch", OpClass::Prefetch, "-r-", false},
+    {Op::BEQ, "beq", OpClass::Branch, "-rr", true},
+    {Op::BNE, "bne", OpClass::Branch, "-rr", true},
+    {Op::BLT, "blt", OpClass::Branch, "-rr", true},
+    {Op::BGE, "bge", OpClass::Branch, "-rr", true},
+    {Op::J, "j", OpClass::Jump, "---", true},
+    {Op::JAL, "jal", OpClass::Jump, "r--", true},
+    {Op::JR, "jr", OpClass::Jump, "-r-", false},
+    {Op::SETMHAR, "setmhar", OpClass::IntAlu, "---", true},
+    {Op::SETMHARR, "setmharr", OpClass::IntAlu, "-r-", false},
+    {Op::GETMHRR, "getmhrr", OpClass::IntAlu, "r--", false},
+    {Op::SETMHRR, "setmhrr", OpClass::IntAlu, "-r-", false},
+    {Op::RETMH, "retmh", OpClass::Jump, "---", false},
+    {Op::BRMISS, "brmiss", OpClass::Branch, "---", true},
+    {Op::BRMISS2, "brmiss2", OpClass::Branch, "---", true},
+    {Op::SETMHARPC, "setmharpc", OpClass::IntAlu, "---", false},
+    {Op::SETMHLVL, "setmhlvl", OpClass::IntAlu, "---", false},
+    {Op::NOP, "nop", OpClass::Nop, "---", false},
+    {Op::HALT, "halt", OpClass::Nop, "---", false},
+};
+
+/** Register number @p n in the file named by @p kind ('f' or else). */
+std::uint8_t
+regIn(char kind, std::uint8_t n)
+{
+    return kind == 'f' ? fpReg(n) : intReg(n);
+}
+
+/** @return why a {@p in, halt} program fails validation ("" if valid). */
+std::string
+whyInvalid(const Instruction &in)
+{
+    Program p("shape");
+    p.insts() = {in, Instruction{.op = Op::HALT}};
+    if (isDataRef(in.op)) {
+        p.insts()[0].staticRefId = 0;
+        p.setNumStaticRefs(1);
+    }
+    std::string why;
+    return p.validate(&why) ? "" : why;
+}
+
+TEST(Op, EveryOpShapeMatchesItsExpectation)
+{
+    ASSERT_EQ(std::size(opExpects), static_cast<std::size_t>(Op::NumOps));
+    for (std::size_t i = 0; i < std::size(opExpects); ++i) {
+        const OpExpect &e = opExpects[i];
+        ASSERT_EQ(static_cast<std::size_t>(e.op), i) << e.name;
+        SCOPED_TRACE(e.name);
+        EXPECT_STREQ(opName(e.op), e.name);
+        EXPECT_EQ(opClass(e.op), e.cls);
+
+        const char rd = e.regs[0], rs1 = e.regs[1], rs2 = e.regs[2];
+        // Used slots get registers of their file; unused slots hold
+        // nonzero integer registers that nothing may report.
+        Instruction in{.op = e.op,
+                       .rd = regIn(rd, 3),
+                       .rs1 = regIn(rs1, 5),
+                       .rs2 = regIn(rs2, 7),
+                       .imm = 1};
+        if (rd == '-') in.rd = intReg(9);
+        if (rs1 == '-') in.rs1 = intReg(10);
+        if (rs2 == '-') in.rs2 = intReg(11);
+
+        std::vector<std::uint8_t> want_src;
+        if (rs1 != '-') want_src.push_back(in.rs1);
+        if (rs2 != '-') want_src.push_back(in.rs2);
+        const SrcRegs s = srcRegs(in);
+        EXPECT_EQ(std::vector<std::uint8_t>(s.reg.begin(),
+                                            s.reg.begin() + s.count),
+                  want_src);
+        EXPECT_EQ(dstReg(in), rd == '-' ? -1 : int{in.rd});
+        EXPECT_EQ(readsFpSources(e.op), rs1 == 'f' || rs2 == 'f');
+        EXPECT_EQ(writesFp(e.op), rd == 'f');
+
+        // imm = 1 is valid for every op (the halt, trap level 1, pc+1).
+        EXPECT_EQ(whyInvalid(in), "");
+
+        // Each used slot is checked against its file.
+        for (const auto &[kind, slot, role] :
+             {std::tuple{rd, &Instruction::rd, "rd"},
+              std::tuple{rs1, &Instruction::rs1, "rs1"},
+              std::tuple{rs2, &Instruction::rs2, "rs2"}}) {
+            if (kind == '-')
+                continue;
+            Instruction bad = in;
+            bad.*slot = regIn(kind == 'f' ? 'r' : 'f', 4);
+            EXPECT_EQ(whyInvalid(bad),
+                      std::string("pc 0: ") + role +
+                          " register in wrong file");
+        }
+
+        // Only a control target is range-checked as an address.
+        Instruction far = in;
+        far.imm = 1000;
+        EXPECT_EQ(whyInvalid(far).find("control target out of range") !=
+                      std::string::npos,
+                  e.immTarget);
+    }
+    EXPECT_STREQ(opName(Op::NumOps), "?");
+    EXPECT_STREQ(opName(static_cast<Op>(200)), "?");
+    EXPECT_EQ(whyInvalid(Instruction{.op = Op::NumOps}),
+              "pc 0: bad opcode");
 }
 
 TEST(Instruction, SrcRegsThreeOperand)

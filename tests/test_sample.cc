@@ -9,9 +9,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/error.hh"
+#include "common/faultinject.hh"
 #include "pipeline/simulate.hh"
 #include "sample/sample.hh"
 #include "workloads/suite.hh"
@@ -149,6 +152,50 @@ TEST(Sampler, BitDeterministicAcrossRuns)
     const sample::SampleEstimate ea2 = a.run();
     EXPECT_EQ(ea2.cpiMean, ea.cpiMean);
     EXPECT_EQ(ea2.windows, ea.windows);
+}
+
+TEST(Sampler, FaultInjectedRunIdenticalAcrossJobs)
+{
+    // Every window's timing model draws from the one injector the
+    // config names, so its windows must run in window order whatever
+    // the job count: in the functional pass and in library replay.
+    const isa::Program prog = buildWorkload("hydro2d");
+    FaultSchedule sched;
+    sched.seed = 3;
+    sched.memLatencySpike = 0.05;
+    const auto run = [&](unsigned jobs,
+                         std::shared_ptr<const sample::LivePointLibrary>
+                             library) {
+        FaultInjector faults(sched);
+        pipeline::MachineConfig cfg = pipeline::makeOutOfOrderConfig();
+        cfg.faults = &faults;
+        sample::Sampler s(prog, cfg, sample::SampleParams{});
+        s.setJobs(jobs);
+        s.setRetainCapture(!library);
+        if (library)
+            s.setLibrary(library);
+        sample::SampleEstimate e = s.run();
+        EXPECT_TRUE(e.ok) << e.error.message;
+        return std::pair{e, s.capturedLibrary()};
+    };
+    const auto expectSame = [](const sample::SampleEstimate &a,
+                               const sample::SampleEstimate &b) {
+        EXPECT_EQ(a.windows, b.windows);
+        EXPECT_EQ(a.cpiMean, b.cpiMean);
+        EXPECT_EQ(a.cpiVariance, b.cpiVariance);
+        EXPECT_EQ(a.missRateMean, b.missRateMean);
+        EXPECT_EQ(a.missRateCi95, b.missRateCi95);
+    };
+
+    const auto [ref, library] = run(1, nullptr);
+    ASSERT_NE(library, nullptr);
+    ASSERT_GT(ref.windows, 8u);
+    const sample::SampleEstimate replay = run(1, library).first;
+    for (int rep = 0; rep < 3; ++rep) {
+        SCOPED_TRACE(rep);
+        expectSame(run(4, nullptr).first, ref);
+        expectSame(run(4, library).first, replay);
+    }
 }
 
 TEST(Sampler, ShortProgramYieldsNoWindowsButExactTotals)
